@@ -166,6 +166,7 @@ void SocketTransport::stop() {
     if (conn->fd >= 0) ::close(conn->fd);
   }
   conns_.clear();
+  dirty_.clear();
   std::lock_guard lock(intern_mu_);
   peers_.clear();
   peer_index_.clear();
@@ -280,6 +281,7 @@ void SocketTransport::loop() {
     drain_commands();
     TimeNs now = mono_now();
     run_due_timers(now);
+    flush_dirty();  // anything queued outside a unit of work
 
     // Sleep until the next timer (ns precision — the M/D/1 service-time
     // model schedules in the ~100us range) or the next io/wake event.
@@ -310,9 +312,9 @@ void SocketTransport::loop() {
       std::uint64_t id = events[i].data.u64;
       std::uint32_t mask = events[i].events;
       if (id == kWakeId) {
+        // An eventfd read returns and zeroes the whole counter.
         std::uint64_t drain;
-        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
-        }
+        [[maybe_unused]] ssize_t r = ::read(wake_fd_, &drain, sizeof(drain));
         continue;
       }
       if (id == kListenId) {
@@ -343,7 +345,10 @@ void SocketTransport::drain_commands() {
     std::lock_guard lock(cmd_mu_);
     commands_.swap(drain_);  // O(1); both buffers stay warm forever
   }
-  while (!drain_.empty()) dispatch(drain_.pop());
+  while (!drain_.empty()) {
+    dispatch(drain_.pop());
+    flush_dirty();
+  }
 }
 
 void SocketTransport::dispatch(Cmd cmd) {
@@ -379,6 +384,7 @@ void SocketTransport::run_due_timers(TimeNs now) {
     if (item.token == 0 || !events_.timer_gate ||
         events_.timer_gate(item.token)) {
       item.fn();
+      flush_dirty();
     }
   }
 }
@@ -449,19 +455,9 @@ void SocketTransport::dial(Peer& p, PeerId id) {
     arm_redial(id);
     return;
   }
-  auto conn = std::make_unique<Conn>();
-  conn->id = next_conn_id_++;
-  conn->fd = fd;
-  conn->connecting = (rc != 0);
-  conn->peer = id;
-  p.conn = conn->id;
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLOUT;  // EPOLLOUT signals connect completion
-  ev.data.u64 = conn->id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-  Conn& ref = *conn;
-  conns_[conn->id] = std::move(conn);
-  if (!ref.connecting) on_connect_ready(ref);
+  Conn& conn = add_conn(fd, id, /*connecting=*/rc != 0);
+  p.conn = conn.id;
+  if (!conn.connecting) on_connect_ready(conn);
 }
 
 void SocketTransport::arm_redial(PeerId id) {
@@ -513,16 +509,22 @@ void SocketTransport::accept_ready() {
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
-    auto conn = std::make_unique<Conn>();
-    conn->id = next_conn_id_++;
-    conn->fd = fd;
+    add_conn(fd, kNoPeer, /*connecting=*/false);
     conns_opened_.fetch_add(1, std::memory_order_relaxed);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = conn->id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    conns_[conn->id] = std::move(conn);
   }
+}
+
+SocketTransport::Conn& SocketTransport::add_conn(int fd, PeerId peer,
+                                                 bool connecting) {
+  auto owned = std::make_unique<Conn>();
+  Conn& conn = *owned;
+  conn.id = next_conn_id_++;
+  conn.fd = fd;
+  conn.peer = peer;
+  conn.connecting = connecting;  // EPOLLOUT then signals connect completion
+  conns_.emplace(conn.id, std::move(owned));
+  update_epoll(conn, /*add=*/true);
+  return conn;
 }
 
 void SocketTransport::read_ready(Conn& conn) {
@@ -530,6 +532,14 @@ void SocketTransport::read_ready(Conn& conn) {
   while (true) {
     ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
+      // Grow geometrically by capacity: a plain insert sizes the buffer
+      // to (leftover + this read), so each slightly larger read would
+      // reallocate again and the receive path would never stop
+      // allocating.
+      std::size_t need = conn.rbuf.size() + static_cast<std::size_t>(n);
+      if (need > conn.rbuf.capacity()) {
+        conn.rbuf.reserve(std::max(need, 2 * conn.rbuf.capacity()));
+      }
       conn.rbuf.insert(conn.rbuf.end(), chunk, chunk + n);
       if (static_cast<std::size_t>(n) < sizeof(chunk)) break;
       continue;
@@ -564,7 +574,8 @@ void SocketTransport::parse_frames(Conn& conn) {
     if (avail < 4 + static_cast<std::size_t>(body_len)) break;
     conn.rpos += 4 + body_len;
     if (events_.on_frame) events_.on_frame(id, p + 4, body_len);
-    // The callback may have closed this very connection.
+    flush_dirty();
+    // The callback (or its flush) may have closed this very connection.
     if (find_conn(id) == nullptr) return;
   }
   // Compact once the parsed prefix dominates the buffer.
@@ -584,8 +595,22 @@ void SocketTransport::enqueue_frame(Conn& conn, Segment frame) {
     return;
   }
   conn.wq.push(std::move(frame));
-  if (!flush_writes(conn)) return;
-  update_epoll(conn);
+  if (!conn.dirty) {
+    conn.dirty = true;
+    dirty_.push_back(conn.id);
+  }
+}
+
+void SocketTransport::flush_dirty() {
+  // Indexed, not iterated: a close callback fired by a failed flush may
+  // queue frames on another connection and grow dirty_ under us.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    Conn* conn = find_conn(dirty_[i]);
+    if (conn == nullptr) continue;  // closed while on the list
+    conn->dirty = false;
+    if (flush_writes(*conn)) update_epoll(*conn);
+  }
+  dirty_.clear();
 }
 
 void SocketTransport::write_ready(Conn& conn) {
@@ -609,6 +634,7 @@ bool SocketTransport::flush_writes(Conn& conn) {
     msghdr mh{};
     mh.msg_iov = iov;
     mh.msg_iovlen = nseg;
+    writes_.fetch_add(1, std::memory_order_relaxed);
     ssize_t n = ::sendmsg(conn.fd, &mh, MSG_NOSIGNAL);
     if (n > 0) {
       std::size_t left = static_cast<std::size_t>(n);
@@ -633,14 +659,19 @@ bool SocketTransport::flush_writes(Conn& conn) {
   return true;
 }
 
-void SocketTransport::update_epoll(Conn& conn) {
+/// The only epoll_ctl for a connection's fd (besides the DEL on close):
+/// registers it (`add`) or re-arms it, so want_write always matches the
+/// interest set the kernel holds. EPOLLOUT stays armed only while there
+/// is something to wait for — a writable socket is level-triggered and
+/// would otherwise wake the loop on every turn.
+void SocketTransport::update_epoll(Conn& conn, bool add) {
   bool want_write = conn.connecting || !conn.wq.empty();
-  if (want_write == conn.want_write) return;
+  if (!add && want_write == conn.want_write) return;
   conn.want_write = want_write;
   epoll_event ev{};
   ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
   ev.data.u64 = conn.id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+  ::epoll_ctl(epoll_fd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, conn.fd, &ev);
 }
 
 // --- teardown ---------------------------------------------------------------

@@ -21,6 +21,13 @@
 //  * Frames are arena `Segment`s (net/encode_arena.h): the sender's
 //    encode is the only copy; per-connection write queues are rings of
 //    segments flushed with scatter-gather sendmsg().
+//  * Writes are coalesced per unit of work. Queuing a frame only marks
+//    its connection dirty; the loop flushes every dirty connection once
+//    after each dispatched command, each on_frame callback and each
+//    timer task, and again before it parks. A callback that broadcasts
+//    to three servers over one connection leaves in ONE sendmsg(), and
+//    no frame waits for an unrelated callback. The dirty list is a
+//    reused vector, so the write path stays allocation-free.
 //  * Timers carry Tasks plus an opaque gate token: at fire time the
 //    owner's `timer_gate` callback decides whether the task still runs
 //    (SocketEnv uses it for crash semantics without wrapping the Task
@@ -33,6 +40,13 @@
 //    EPOLLOUT -> SO_ERROR), keyed by PeerId. Frames sent while a peer
 //    is down queue up (bounded) and flush on connect; failed dials
 //    retry with exponential backoff.
+//  * Parking: the loop sleeps in epoll_pwait2 until an fd, the wake
+//    eventfd or the next timer is due. EPOLLOUT is armed only while a
+//    connect is in flight or bytes are left unwritten (a writable socket
+//    is level-triggered and would wake the loop on every turn), and
+//    every epoll_ctl goes through update_epoll(), so Conn::want_write
+//    always mirrors what the kernel has registered. An idle transport
+//    uses no CPU.
 //  * Framing: each frame starts with a u32 length prefix (see
 //    wire_format.h). Partial reads accumulate per connection; partial
 //    writes keep their queue position and EPOLLOUT re-arms. A length
@@ -145,6 +159,8 @@ class SocketTransport {
   std::uint64_t dials_failed() const { return dials_failed_.load(); }
   std::uint64_t frames_dropped() const { return frames_dropped_.load(); }
   std::uint64_t oversize_frames() const { return oversize_frames_.load(); }
+  /// sendmsg() calls made (one per flush burst, not one per frame).
+  std::uint64_t writes() const { return writes_.load(); }
 
  private:
   struct Conn {
@@ -157,6 +173,7 @@ class SocketTransport {
     wrs::GrowRing<Segment> wq;
     std::size_t woff = 0;          // bytes of wq front already written
     bool want_write = false;       // EPOLLOUT currently armed
+    bool dirty = false;            // on dirty_, awaiting the next flush
   };
 
   struct Peer {
@@ -214,14 +231,16 @@ class SocketTransport {
   void dial(Peer& p, PeerId id);
   void arm_redial(PeerId id);
   void on_connect_ready(Conn& conn);
+  Conn& add_conn(int fd, PeerId peer, bool connecting);
   void accept_ready();
   void read_ready(Conn& conn);
   void write_ready(Conn& conn);
   bool flush_writes(Conn& conn);   // false = connection died
   void parse_frames(Conn& conn);
   void enqueue_frame(Conn& conn, Segment frame);
+  void flush_dirty();
   void close_conn_internal(ConnId id, bool notify);
-  void update_epoll(Conn& conn);
+  void update_epoll(Conn& conn, bool add = false);
   void wake();
 
   Events events_;
@@ -251,6 +270,9 @@ class SocketTransport {
   // Ids 0..15 are reserved for non-connection epoll entries (the wake
   // eventfd and the listener); see kFirstConnId in the .cpp.
   ConnId next_conn_id_ = 16;
+  // Connections with frames queued since the last flush (loop thread
+  // only). Cleared, never shrunk: it stays at its high-water capacity.
+  std::vector<ConnId> dirty_;
 
   std::priority_queue<TimerItem, std::vector<TimerItem>, std::greater<>>
       timers_;
@@ -265,6 +287,7 @@ class SocketTransport {
   std::atomic<std::uint64_t> dials_failed_{0};
   std::atomic<std::uint64_t> frames_dropped_{0};
   std::atomic<std::uint64_t> oversize_frames_{0};
+  std::atomic<std::uint64_t> writes_{0};
 };
 
 }  // namespace wrs::net
