@@ -229,7 +229,8 @@ class ClientHandle {
 
   /// Low-level escape hatches (callback API, client-context only).
   /// abd() is the single-group client; it throws on sharded deployments
-  /// — use router() or router().shard_client(g) there.
+  /// — use router() or router().shard_client(g) there. abd() bypasses
+  /// the router's per-key FIFO: keep one read/write per key in flight.
   AbdClient& abd() const { return router_->only_client(); }
   ShardRouter& router() const { return *router_; }
   ProcessId id() const { return id_; }

@@ -20,9 +20,6 @@ ShardRouter::ShardRouter(Env& env, ProcessId self, ShardMap map,
 }
 
 OpId ShardRouter::read(RegisterKey key, AbdClient::ReadCallback cb) {
-  if (clients_.size() == 1) {
-    return clients_[0]->read(std::move(key), std::move(cb));
-  }
   QueuedOp op;
   op.key = std::move(key);
   op.rcb = std::move(cb);
@@ -31,9 +28,6 @@ OpId ShardRouter::read(RegisterKey key, AbdClient::ReadCallback cb) {
 
 OpId ShardRouter::write(RegisterKey key, Value value,
                         AbdClient::WriteCallback cb) {
-  if (clients_.size() == 1) {
-    return clients_[0]->write(std::move(key), std::move(value), std::move(cb));
-  }
   QueuedOp op;
   op.is_write = true;
   op.key = std::move(key);
@@ -43,15 +37,16 @@ OpId ShardRouter::write(RegisterKey key, Value value,
 }
 
 OpId ShardRouter::submit(QueuedOp op) {
-  if (keyed_busy_.count(op.key)) {
-    keyed_queue_[op.key].push_back(std::move(op));
+  auto [it, idle] = keyed_.try_emplace(op.key);
+  if (!idle) {
+    it->second.push_back(std::move(op));
+    ++queued_;
     return 0;  // queued; callers consume results via the callback
   }
   return dispatch(std::move(op));
 }
 
 OpId ShardRouter::dispatch(QueuedOp op) {
-  keyed_busy_.insert(op.key);
   // Routed by the map AS OF dispatch — a queued op issued before a
   // redirect was learned still goes straight to the current owner.
   RegisterKey key = op.key;
@@ -70,12 +65,14 @@ OpId ShardRouter::dispatch(QueuedOp op) {
 }
 
 void ShardRouter::next_for(const RegisterKey& key) {
-  keyed_busy_.erase(key);
-  auto it = keyed_queue_.find(key);
-  if (it == keyed_queue_.end()) return;
+  auto it = keyed_.find(key);
+  if (it->second.empty()) {
+    keyed_.erase(it);  // the key is idle again
+    return;
+  }
   QueuedOp op = std::move(it->second.front());
   it->second.pop_front();
-  if (it->second.empty()) keyed_queue_.erase(it);
+  --queued_;
   dispatch(std::move(op));
 }
 
@@ -361,7 +358,7 @@ bool ShardRouter::busy() const {
 }
 
 std::size_t ShardRouter::in_flight() const {
-  std::size_t sum = 0;
+  std::size_t sum = queued_;
   for (const auto& c : clients_) sum += c->in_flight();
   return sum;
 }

@@ -2,14 +2,14 @@
 // per shard, every read/write routed by ShardMap::shard_of(key).
 //
 // The router preserves the pipelined client's semantics exactly:
-//  * per-key FIFO — held by the ROUTER on multi-shard maps: a migration
-//    can move a key between groups mid-operation, so two inner clients'
-//    FIFOs alone would let a later same-key op overlap an earlier one
-//    mid-redirect (and race the (max_ts+1, pid) tag choice). The router
-//    dispatches one keyed operation at a time per key, in issue order,
-//    each routed by the map AS OF its dispatch; a single-shard map keeps
-//    the legacy direct path (the one inner client's FIFO suffices,
-//    byte-identically);
+//  * per-key FIFO — held by the ROUTER, on every map size. The inner
+//    AbdClients do not order same-key operations (they require at most
+//    one read/write per key in flight), and a migration can move a key
+//    between groups mid-operation, so the order must live above them.
+//    The router dispatches one keyed operation at a time per key, in
+//    issue order, each routed by the map AS OF its dispatch; a later
+//    same-key op therefore never overlaps an earlier one mid-redirect
+//    (nor races its (max_ts+1, pid) tag choice);
 //  * pipelining — operations on distinct keys multiplex freely, now both
 //    within a shard (the AbdClient's op map) and across shards (disjoint
 //    replica groups never share quorum traffic at all);
@@ -46,7 +46,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -60,6 +59,8 @@ class ShardRouter {
   ShardRouter(Env& env, ProcessId self, ShardMap map, AbdClient::Mode mode);
 
   /// Routed atomic operations (see AbdClient for the callback contracts).
+  /// Returns the inner client's OpId, or 0 when the op queued behind an
+  /// earlier one on the same key.
   OpId read(RegisterKey key, AbdClient::ReadCallback cb);
   OpId write(RegisterKey key, Value value, AbdClient::WriteCallback cb);
 
@@ -111,6 +112,8 @@ class ShardRouter {
 
   // --- aggregated observability (sums/maxima over the inner clients) ------
   bool busy() const;
+  /// Keyed operations not yet completed: started at an inner client, or
+  /// queued in the router behind an earlier op on the same key.
   std::size_t in_flight() const;
   /// Max over shards of each inner client's started-op high-water mark
   /// (a lower bound on the true cross-shard concurrency).
@@ -144,7 +147,7 @@ class ShardRouter {
   void set_batching(std::size_t max_ops, TimeNs max_delay);
 
  private:
-  /// One keyed operation awaiting its per-key turn (multi-shard only).
+  /// One keyed operation awaiting its per-key turn.
   struct QueuedOp {
     bool is_write = false;
     RegisterKey key;
@@ -202,10 +205,10 @@ class ShardRouter {
   std::uint64_t snapshot_fallbacks_ = 0;
   std::uint32_t snap_max_collect_rounds_ = 6;
   std::uint32_t snap_seq_ = 0;  ///< per-client snapshot instance counter
-  /// Cross-shard per-key FIFO (multi-shard maps): keys with a dispatched
-  /// operation, and the issue-order queue behind each.
-  std::set<RegisterKey> keyed_busy_;
-  std::map<RegisterKey, std::deque<QueuedOp>> keyed_queue_;
+  /// Cross-shard per-key FIFO: an entry means the key has a dispatched
+  /// operation, and its deque holds the ops issued behind it, in order.
+  std::map<RegisterKey, std::deque<QueuedOp>> keyed_;
+  std::size_t queued_ = 0;  ///< total ops waiting in keyed_'s deques
 };
 
 }  // namespace wrs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -138,21 +139,7 @@ std::optional<AbdClient::EjectedOp> AbdClient::eject(OpId id) {
   out.write_tag_chosen = op.write_tag_chosen;
   out.rcb = std::move(op.rcb);
   out.wcb = std::move(op.wcb);
-  bool was_started = op.started;
   ops_.erase(it);
-  if (was_started) --started_count_;
-  if (keyless(out.kind)) return out;  // kInstall: no FIFO entry to fix up
-  auto fit = key_fifo_.find(out.key);
-  auto& fifo = fit->second;
-  bool was_front = fifo.front() == id;
-  fifo.erase(std::find(fifo.begin(), fifo.end(), id));
-  if (fifo.empty()) {
-    key_fifo_.erase(fit);
-  } else if (was_front) {
-    // The ejected op held the key: start its successor (which will chase
-    // the same redirect and reissue behind this op at the new shard).
-    start_phase1(ops_.at(fifo.front()));
-  }
   return out;
 }
 
@@ -169,29 +156,28 @@ OpId AbdClient::resume(EjectedOp e) {
 }
 
 OpId AbdClient::enqueue(Op op) {
+#ifndef NDEBUG
+  // The caller's contract (see the header): at most one read/write per
+  // key in flight, or two writes could race the (max_ts+1, pid) tag.
+  auto keyed = [](OpKind k) {
+    return k == OpKind::kRead || k == OpKind::kWrite;
+  };
+  if (keyed(op.kind)) {
+    for (const auto& [_, other] : ops_) {
+      assert(!(keyed(other.kind) && other.key == op.key) &&
+             "AbdClient: a second read/write on a key already in flight");
+    }
+  }
+#endif
   OpId id = fresh_op_id();
   op.id = id;
-  OpKind kind = op.kind;
-  RegisterKey key = op.key;
   Op& slot = ops_.emplace(id, std::move(op)).first->second;
-  if (keyless(kind)) {
-    // Keyless ops (discovery, snapshot verbs, installs) are never
-    // serialized behind keyed traffic.
-    start_phase1(slot);
-    return id;
-  }
-  std::deque<OpId>& fifo = key_fifo_[key];
-  fifo.push_back(id);
-  if (fifo.size() == 1) start_phase1(slot);
+  max_in_flight_ = std::max(max_in_flight_, ops_.size());
+  start_phase1(slot);
   return id;
 }
 
 void AbdClient::start_phase1(Op& op) {
-  if (!op.started) {
-    op.started = true;
-    ++started_count_;
-    max_started_ = std::max(max_started_, started_count_);
-  }
   if (op.kind == OpKind::kCommit || op.kind == OpKind::kInstall) {
     // One-round verbs that only collect WriteAcks (a commit's mark round,
     // a snapshot install of a preset tag): every (re)start — including
@@ -309,7 +295,7 @@ void AbdClient::schedule_retry(OpId id, std::uint32_t seq) {
     auto it = ops_.find(id);
     if (it == ops_.end()) return;       // completed
     const Op& op = it->second;
-    if (!op.started || op.seq != seq) return;  // progressed or restarted
+    if (op.seq != seq) return;          // progressed or restarted
     // Same (op_id, seq) on the wire: servers re-reply, the client's
     // per-server reply maps absorb duplicates.
     ++retransmits_;
@@ -322,18 +308,6 @@ void AbdClient::complete(OpId id) {
   auto it = ops_.find(id);
   Op finished = std::move(it->second);
   ops_.erase(it);
-  --started_count_;  // only started ops complete
-  if (!keyless(finished.kind)) {
-    // Release the key FIFO and start the successor, if any, BEFORE the
-    // callback runs: the callback may issue new operations on this key.
-    auto fit = key_fifo_.find(finished.key);
-    fit->second.pop_front();
-    if (fit->second.empty()) {
-      key_fifo_.erase(fit);
-    } else {
-      start_phase1(ops_.at(fit->second.front()));
-    }
-  }
   switch (finished.kind) {
     case OpKind::kRead:
     case OpKind::kFreeze:
@@ -401,11 +375,10 @@ bool AbdClient::merge_and_maybe_restart(const ChangeSetPtr& incoming) {
   std::size_t added = changes_.join(*incoming);
   if (added == 0) return false;
   // Learned of newer completed changes: the change set is client-level
-  // state, so EVERY started operation's quorum accounting predates the
+  // state, so EVERY in-flight operation's quorum accounting predates the
   // merge — restart them all from phase 1 under the new weights
   // (Algorithm 5 "restart the operation").
   for (auto& [id, op] : ops_) {
-    if (!op.started) continue;
     ++restarts_;
     if (++op.op_restarts > max_restarts_) {
       throw std::logic_error(

@@ -14,15 +14,19 @@
 // OpId in the request/reply messages. Nothing in the protocol requires
 // per-client serialization across *distinct* keys — quorum intersection
 // is per-operation — so independent operations multiplex freely over the
-// same replicas. Operations on the SAME key from one client execute in
-// issue order (a per-key FIFO): concurrent same-key writes from one
-// process would otherwise race the (max_ts+1, pid) tag choice and could
-// mint duplicate tags, and FIFO also gives drivers per-key program
-// order. list_keys() has no key and never queues.
+// same replicas. The client does NOT order operations on the SAME key;
+// its contract is that at most one read/write per key is in flight at a
+// time, because concurrent same-key writes from one process would race
+// the (max_ts+1, pid) tag choice and could mint duplicate tags. Callers
+// keep it: ShardRouter runs the per-key FIFO for every application
+// operation, MigrationEngine serializes per key through its active set,
+// and DynamicStorageNode's refresh reads distinct keys, one batch at a
+// time. Debug builds assert the contract on every enqueue. list_keys(),
+// the snapshot verbs and install() (preset tag) are exempt.
 //
 // Dynamic mode: every reply carries the server's change set C'. If C'
 // contains changes the client has not seen, the client merges them and
-// RESTARTS every started operation from phase 1 (Algorithm 5 lines
+// RESTARTS every in-flight operation from phase 1 (Algorithm 5 lines
 // 14-16/30-32 — the change set is client-level state, so all in-flight
 // quorum accounting predates the merge, not just the op whose reply
 // carried the news). Deviations from the paper's literal pseudocode
@@ -41,8 +45,8 @@
 // flush — flushed as soon as `max_ops` frames are pending or `max_delay`
 // after the first one, whichever comes first. Servers apply each frame
 // individually and answer with one BatchReply the client demultiplexes,
-// so per-key FIFO, unique write tags, change-set restarts, and retries
-// are all untouched; only the per-operation message constant shrinks.
+// so unique write tags, change-set restarts, and retries are all
+// untouched; only the per-operation message constant shrinks.
 // set_batching(1, ...) IS the unbatched path, byte for byte.
 //
 // Static mode ignores change sets entirely and uses the fixed initial
@@ -50,7 +54,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <set>
@@ -105,8 +108,8 @@ class AbdClient {
   AbdClient(Env& env, ProcessId self, const SystemConfig& config, Mode mode);
 
   /// Atomic read of register `key`; cb fires once with the (tag, value)
-  /// read. Pipelined: any number of operations may be in flight;
-  /// operations on the same key run in issue order.
+  /// read. Pipelined: any number of operations on distinct keys may be
+  /// in flight, but at most one read/write per key (see the header).
   OpId read(RegisterKey key, ReadCallback cb);
   OpId read(ReadCallback cb) { return read(RegisterKey{}, std::move(cb)); }
 
@@ -161,12 +164,13 @@ class AbdClient {
 
   /// Snapshot write-back: a phase-2-only write of a PRESET (tag, value)
   /// (the double-collect confirmation writes back non-unanimous keys).
-  /// Tag-monotone and idempotent, like any ABD write-back. Bypasses the
-  /// per-key FIFO: it races no tag choice (its tag is fixed) and must
-  /// not deadlock behind requests parked at a fenced server.
+  /// Tag-monotone and idempotent, like any ABD write-back. Exempt from
+  /// the one-op-per-key contract and never ordered behind keyed traffic:
+  /// it races no tag choice (its tag is fixed) and must not deadlock
+  /// behind requests parked at a fenced server.
   OpId install(RegisterKey key, TaggedValue reg, WriteCallback cb);
 
-  /// A started operation extracted for reissue at another shard after a
+  /// An in-flight operation extracted for reissue at another shard after a
   /// WrongShardAck redirect (ShardRouter). Carries exactly the state the
   /// new shard's client needs: a write keeps its once-chosen tag — the
   /// ghost-tag argument for change-set restarts applies unchanged to
@@ -181,15 +185,15 @@ class AbdClient {
     WriteCallback wcb;
   };
 
-  /// Removes operation `id` (promoting its per-key FIFO successor) and
-  /// returns its reissuable state; nullopt when the op is unknown,
+  /// Removes operation `id` and returns its reissuable state; nullopt when the op is unknown,
   /// already completed, or not reissuable (kListKeys and the migration
   /// verbs are never redirected).
   std::optional<EjectedOp> eject(OpId id);
 
   /// Re-enqueues an ejected operation on THIS client (the redirect
-  /// target). Runs the full two-phase protocol under a fresh OpId; the
-  /// per-key FIFO keeps reissue order.
+  /// target). Runs the full two-phase protocol under a fresh OpId. The
+  /// key stays busy in the router's per-key FIFO until the op completes,
+  /// so the one-op-per-key contract holds across the move.
   OpId resume(EjectedOp op);
 
   /// Routes R_A / W_A / KEYS_A replies; true iff consumed. Replies whose
@@ -200,12 +204,11 @@ class AbdClient {
 
   /// True while any operation is in flight.
   bool busy() const { return !ops_.empty(); }
-  /// Operations currently in flight (started + queued on a key FIFO).
+  /// Operations currently in flight (every one has started its rounds).
   std::size_t in_flight() const { return ops_.size(); }
-  /// High-water mark of concurrently STARTED operations (ops whose
-  /// quorum rounds genuinely overlapped; FIFO-queued ops don't count) —
-  /// lets tests assert that pipelining actually overlapped work.
-  std::size_t max_in_flight() const { return max_started_; }
+  /// High-water mark of in_flight() (ops whose quorum rounds genuinely
+  /// overlapped) — lets tests assert that pipelining overlapped work.
+  std::size_t max_in_flight() const { return max_in_flight_; }
 
   /// The client's current change set (dynamic mode).
   const ChangeSet& changes() const { return changes_; }
@@ -271,7 +274,6 @@ class AbdClient {
     OpKind kind = OpKind::kRead;
     RegisterKey key;
     Value value;  // payload for writes
-    bool started = false;  // false while waiting on the per-key FIFO
     int phase = 1;
     std::uint32_t seq = 0;  // phase-attempt counter echoed in replies
     // Reply accounting is flat vectors, not node-based sets/maps: a
@@ -314,15 +316,6 @@ class AbdClient {
     MsgPtr msg;
   };
 
-  /// Kinds that have no register key: they bypass the per-key FIFO
-  /// entirely (enqueue, eject, complete all skip FIFO bookkeeping).
-  /// kInstall HAS a key but is still keyless-by-policy (see install()).
-  static bool keyless(OpKind kind) {
-    return kind == OpKind::kListKeys || kind == OpKind::kCollect ||
-           kind == OpKind::kInstall || kind == OpKind::kSnapFreeze ||
-           kind == OpKind::kSnapRelease;
-  }
-
   OpId enqueue(Op op);
   std::vector<CollectEntry> aggregate_snap(const Op& op) const;
   void start_phase1(Op& op);
@@ -353,10 +346,7 @@ class AbdClient {
   /// in-flight state contiguous; OpIds are allocated monotonically, so
   /// inserts land at the back.
   FlatMap<OpId, Op> ops_;
-  /// Issue-order FIFO per key; the front op is the started one.
-  FlatMap<RegisterKey, std::deque<OpId>> key_fifo_;
-  std::size_t started_count_ = 0;
-  std::size_t max_started_ = 0;
+  std::size_t max_in_flight_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint32_t max_restarts_ = 10'000;
   TimeNs retry_interval_ = 0;

@@ -95,6 +95,20 @@ TEST(AbdClient, ForeignAndStaleAcksIgnored) {
   EXPECT_TRUE(client.busy());
 }
 
+TEST(AbdClient, DebugBuildsAssertOneReadWritePerKey) {
+  // At most one read/write per key in flight is the caller's contract
+  // (ShardRouter's per-key FIFO keeps it); debug builds assert it. Other
+  // keys, and installs with their preset tag, are never refused.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  AbdClient client(env, client_id(0), SystemConfig::uniform(3, 1),
+                   AbdClient::Mode::kStatic);
+  client.write("k", "1", [](const Tag&) {});
+  client.read("other", [](const TaggedValue&) {});
+  client.install("k", TaggedValue{Tag{7, 1}, "x"}, [](const Tag&) {});
+  EXPECT_DEBUG_DEATH(client.read("k", [](const TaggedValue&) {}),
+                     "already in flight");
+}
+
 TEST(AbdClient, RestartBudgetThrowsWhenExhausted) {
   StorageCluster c(4, 1, 42);
   std::vector<std::unique_ptr<StorageClient>> clients;

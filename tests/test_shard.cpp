@@ -100,20 +100,33 @@ TEST(ShardCompat, SingleShardMatchesRawClientByteForByte) {
     StorageClient client(*sc.env, client_id(0), sc.config,
                          AbdClient::Mode::kDynamic);
     sc.env->register_process(client_id(0), &client);
-    std::size_t done = 0;
+    // The raw client takes at most one read/write per key in flight, so
+    // a key repeated within a phase ("alpha") opens a new wave once
+    // everything issued so far has completed.
+    std::size_t issued = 0, done = 0;
+    std::set<RegisterKey> wave;
+    auto join_wave = [&](const RegisterKey& k) {
+      ++issued;
+      if (wave.insert(k).second) return;
+      test::run_until(*sc.env, [&] { return done == issued - 1; });
+      wave = {k};
+    };
     for (const auto& [k, v] : puts) {
+      join_wave(k);
       client.abd().write(k, v, [&done](const Tag&) { ++done; });
     }
-    test::run_until(*sc.env, [&] { return done == puts.size(); });
+    test::run_until(*sc.env, [&] { return done == issued; });
+    wave.clear();
     raw_reads.resize(puts.size());
     for (std::size_t i = 0; i < puts.size(); ++i) {
+      join_wave(puts[i].first);
       client.abd().read(puts[i].first,
                         [&raw_reads, &done, i](const TaggedValue& tv) {
                           raw_reads[i] = tv.value;
                           ++done;
                         });
     }
-    test::run_until(*sc.env, [&] { return done == 2 * puts.size(); });
+    test::run_until(*sc.env, [&] { return done == issued; });
     sc.env->run_to_quiescence();
     raw_traffic = sc.env->traffic();
   }
@@ -229,6 +242,31 @@ TEST_P(ShardRouterSemantics, OperationsPipelineAcrossShards) {
 
 INSTANTIATE_TEST_SUITE_P(BothRuntimes, ShardRouterSemantics,
                          ::testing::Values(Runtime::kSim, Runtime::kThread));
+
+TEST(ShardRouterCounters, InFlightCountsRouterQueuedOps) {
+  Cluster c = Cluster::builder()
+                  .servers(3)
+                  .shards(2)
+                  .clients(1)
+                  .runtime(Runtime::kSim)
+                  .seed(17)
+                  .build();
+  // Two same-key writes and one to another key, issued in one hop: the
+  // second "k" write waits in the router's per-key FIFO, and in_flight()
+  // must still count it.
+  ShardRouter* router = &c.client().router();
+  Await<std::size_t> count = c.make_await<std::size_t>();
+  c.post(c.client().id(), [router, count] {
+    auto ignore = [](const Tag&) {};
+    router->write("k", "1", ignore);
+    router->write("k", "2", ignore);
+    router->write("other", "3", ignore);
+    count.fulfill(router->in_flight());
+  });
+  EXPECT_EQ(count.get(seconds(30)), 3u);
+  c.quiesce();
+  EXPECT_EQ(router->in_flight(), 0u);
+}
 
 // --- misrouted traffic ------------------------------------------------------
 

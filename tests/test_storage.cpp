@@ -53,26 +53,27 @@ TEST(StaticAbd, WriteThenRead) {
 }
 
 TEST(StaticAbd, PipelinesDistinctKeysAndQueuesSameKey) {
-  // The multiplexed client overlaps ops on distinct keys; ops on the SAME
-  // key run in issue order (concurrent same-key writes from one process
-  // could mint duplicate tags).
+  // The multiplexed client overlaps ops on distinct keys; the router runs
+  // ops on the SAME key in issue order (concurrent same-key writes from
+  // one process could mint duplicate tags).
   StorageCluster c(4, 1, 3);
   std::vector<std::unique_ptr<StorageClient>> clients;
   auto* cl = add_client(c, 0, AbdClient::Mode::kStatic, clients);
+  ShardRouter& router = cl->router();
 
   std::optional<Tag> ta, tb1, tb2;
   std::optional<TaggedValue> rb;
-  cl->abd().write("a", "va", [&](const Tag& t) { ta = t; });
-  cl->abd().write("b", "vb1", [&](const Tag& t) { tb1 = t; });
-  cl->abd().write("b", "vb2", [&](const Tag& t) { tb2 = t; });
-  cl->abd().read("b", [&](const TaggedValue& tv) { rb = tv; });
-  EXPECT_EQ(cl->abd().in_flight(), 4u);
+  router.write("a", "va", [&](const Tag& t) { ta = t; });
+  router.write("b", "vb1", [&](const Tag& t) { tb1 = t; });
+  router.write("b", "vb2", [&](const Tag& t) { tb2 = t; });
+  router.read("b", [&](const TaggedValue& tv) { rb = tv; });
+  EXPECT_EQ(router.in_flight(), 4u);
   // Only "a"'s write and "b"'s FIRST write start immediately; the other
   // two queue behind "b" — max_in_flight counts genuinely started ops.
-  EXPECT_EQ(cl->abd().max_in_flight(), 2u);
+  EXPECT_EQ(router.max_in_flight(), 2u);
 
   run_until(*c.env, [&] { return ta && tb1 && tb2 && rb.has_value(); });
-  EXPECT_FALSE(cl->abd().busy());
+  EXPECT_FALSE(router.busy());
   // Per-key program order: the queued second write got the larger tag and
   // the read (issued last) observed it.
   EXPECT_LT(*tb1, *tb2);
