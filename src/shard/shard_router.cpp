@@ -100,10 +100,6 @@ OpId ShardRouter::list_keys(AbdClient::KeysCallback cb) {
   return first;
 }
 
-void ShardRouter::set_snapshot_max_collect_rounds(std::uint32_t n) {
-  snap_max_collect_rounds_ = std::max<std::uint32_t>(2, n);
-}
-
 OpId ShardRouter::snapshot(std::vector<RegisterKey> keys, SnapshotCallback cb) {
   // Collapse duplicates, keeping first-occurrence order (the cut echoes
   // this order back).
@@ -181,7 +177,7 @@ void ShardRouter::snap_collect_done(SnapPtr st) {
     // A fenced or mid-migration key poisons the round: tags observed
     // around a fence prove nothing. Start the double collect over.
     st->have_prev = false;
-    if (st->rounds >= snap_max_collect_rounds_) return snap_fallback(st);
+    if (st->rounds >= kSnapMaxCollectRounds) return snap_fallback(st);
     snap_collect_round(std::move(st));
     return;
   }
@@ -204,7 +200,7 @@ void ShardRouter::snap_collect_done(SnapPtr st) {
     st->prev_tags[i] = st->acc[i].reg.tag;
   }
   st->have_prev = true;
-  if (st->rounds >= snap_max_collect_rounds_) return snap_fallback(st);
+  if (st->rounds >= kSnapMaxCollectRounds) return snap_fallback(st);
   snap_collect_round(std::move(st));
 }
 
@@ -409,10 +405,6 @@ std::uint64_t ShardRouter::fast_path_reads() const {
 
 void ShardRouter::set_batching(std::size_t max_ops, TimeNs max_delay) {
   for (const auto& c : clients_) c->set_batching(max_ops, max_delay);
-}
-
-void ShardRouter::set_max_restarts(std::uint32_t m) {
-  for (const auto& c : clients_) c->set_max_restarts(m);
 }
 
 }  // namespace wrs

@@ -27,7 +27,7 @@
 // every key (double collect — the ABD tag is the modification counter);
 // keys whose confirming tag was not quorum-unanimous get a write-back
 // install before the cut returns. Under sustained write pressure the
-// double collect may never confirm, so after a bounded number of rounds
+// double collect may never confirm, so after kSnapMaxCollectRounds rounds
 // the router switches to the fenced fallback (scan embedded in update):
 // SnapFreeze parks writers behind per-key fences at every involved
 // shard, SnapRelease installs the frozen maxima and lifts the fences —
@@ -131,11 +131,10 @@ class ShardRouter {
   std::uint64_t snapshot_fallbacks() const { return snapshot_fallbacks_; }
 
   /// Collect rounds a snapshot tries before engaging the fenced
-  /// fallback (clamped to >= 2: a double collect needs two rounds).
-  void set_snapshot_max_collect_rounds(std::uint32_t n);
+  /// fallback (a double collect needs at least two).
+  static constexpr std::uint32_t kSnapMaxCollectRounds = 6;
 
   void set_retry_interval(TimeNs interval);
-  void set_max_restarts(std::uint32_t m);
   /// One-round read fast path on every inner client (see
   /// AbdClient::set_read_fast_path).
   void set_read_fast_path(bool on);
@@ -203,7 +202,6 @@ class ShardRouter {
   std::uint64_t snapshots_taken_ = 0;
   std::uint64_t snapshot_rounds_ = 0;
   std::uint64_t snapshot_fallbacks_ = 0;
-  std::uint32_t snap_max_collect_rounds_ = 6;
   std::uint32_t snap_seq_ = 0;  ///< per-client snapshot instance counter
   /// Cross-shard per-key FIFO: an entry means the key has a dispatched
   /// operation, and its deque holds the ops issued behind it, in order.

@@ -211,12 +211,6 @@ class AbdServer {
   /// SnapReq collect rounds served.
   std::uint64_t snap_collects_served() const { return snap_collects_served_; }
 
-  /// Lease on a snap fence: a SnapRelease normally lifts it, the TTL
-  /// covers a crashed snapshot client. Default spans hundreds of quorum
-  /// round trips — long enough that a live client never loses its fence
-  /// mid-snapshot, short enough that chaos episodes drain.
-  void set_snap_fence_ttl(TimeNs ttl) { snap_fence_ttl_ = ttl; }
-
   /// Served read/write requests per key since the last drain, and clears
   /// the window. Thread-safe (the Rebalancer reads it from another
   /// execution context on the thread runtime).
@@ -470,7 +464,7 @@ class AbdServer {
         fence.snap_id = f.snap_id();
         std::uint64_t gen = ++snap_fence_gen_;
         fence.gen = gen;
-        env_.schedule(self_, snap_fence_ttl_, [this, key, gen] {
+        env_.schedule(self_, kSnapFenceTtl, [this, key, gen] {
           auto it = snap_fences_.find(key);
           if (it == snap_fences_.end() || it->second.gen != gen) return;
           snap_fences_.erase(it);
@@ -560,6 +554,11 @@ class AbdServer {
   /// binary search over a handful of entries instead of a tree walk.
   FlatMap<RegisterKey, RouteMark> route_marks_;
   FlatMap<RegisterKey, std::vector<Parked>> parked_;
+  /// Lease on a snap fence: a SnapRelease normally lifts it, the TTL
+  /// covers a crashed snapshot client. It spans hundreds of quorum round
+  /// trips — long enough that a live client never loses its fence
+  /// mid-snapshot, short enough that chaos episodes drain.
+  static constexpr TimeNs kSnapFenceTtl = ms(1000);
   /// One fence per snap-frozen key. `gen` invalidates stale TTL timers:
   /// every install/refresh bumps it, and an expiry callback fires only
   /// when its captured gen still matches.
@@ -569,7 +568,6 @@ class AbdServer {
   };
   FlatMap<RegisterKey, SnapFence> snap_fences_;
   std::uint64_t snap_fence_gen_ = 0;
-  TimeNs snap_fence_ttl_ = ms(1000);
   std::uint64_t snap_fences_installed_ = 0;
   std::uint64_t snap_fences_expired_ = 0;
   std::uint64_t snap_collects_served_ = 0;

@@ -8,6 +8,12 @@ namespace wrs::testing {
 
 namespace {
 
+/// Bounds of one fault's hold time and the duplicate-storm probability
+/// cap.
+constexpr TimeNs kMinHold = ms(20);
+constexpr TimeNs kMaxHold = ms(120);
+constexpr double kDupPMax = 0.5;
+
 std::string ms_str(TimeNs t) {
   std::ostringstream os;
   os << to_ms(t) << "ms";
@@ -20,16 +26,13 @@ Nemesis::Nemesis(Cluster& cluster, std::uint64_t seed, NemesisParams params)
     : cluster_(cluster), rng_(seed), params_(params) {}
 
 std::vector<Nemesis::Kind> Nemesis::enabled_kinds() const {
-  std::vector<Kind> kinds;
-  if (params_.partitions) kinds.push_back(Kind::kSymPartition);
-  if (params_.asymmetric) kinds.push_back(Kind::kAsymPartition);
-  if (params_.drops) kinds.push_back(Kind::kDropStorm);
-  if (params_.duplicates) kinds.push_back(Kind::kDupStorm);
+  std::vector<Kind> kinds = {Kind::kSymPartition, Kind::kAsymPartition,
+                             Kind::kDropStorm, Kind::kDupStorm};
   // The reorder knob is deployment-global on the simulator, so a
   // shard-scoped nemesis cannot use it without leaking faults into
   // other shards.
-  if (params_.reorder && !params_.shard) kinds.push_back(Kind::kReorderWindow);
-  if (params_.slow_downs) kinds.push_back(Kind::kSlow);
+  if (!params_.shard) kinds.push_back(Kind::kReorderWindow);
+  kinds.push_back(Kind::kSlow);
   if (params_.crash_budget > 0) kinds.push_back(Kind::kCrash);
   return kinds;
 }
@@ -62,25 +65,21 @@ void Nemesis::unleash() {
   crash_order_.resize(budget);
 
   std::vector<Kind> kinds = enabled_kinds();
-  if (kinds.empty()) return;
-
   TimeNs window = params_.horizon - params_.start;
-  if (window <= params_.min_hold) {
+  if (window <= kMinHold) {
     throw std::invalid_argument("Nemesis: horizon too close to start");
   }
   for (std::size_t e = 0; e < params_.events; ++e) {
     Kind kind = kinds[rng_.below(kinds.size())];
     if (kind == Kind::kCrash && crashes_scheduled_ >= budget) {
-      kind = params_.slow_downs ? Kind::kSlow : Kind::kDropStorm;
-      if (kind == Kind::kDropStorm && !params_.drops) continue;
+      kind = Kind::kSlow;
     }
     TimeNs at = params_.start +
                 static_cast<TimeNs>(rng_.below(
-                    static_cast<std::uint64_t>(window - params_.min_hold)));
-    TimeNs hold =
-        params_.min_hold +
-        static_cast<TimeNs>(rng_.below(static_cast<std::uint64_t>(
-            params_.max_hold - params_.min_hold + 1)));
+                    static_cast<std::uint64_t>(window - kMinHold)));
+    TimeNs hold = kMinHold + static_cast<TimeNs>(rng_.below(
+                                 static_cast<std::uint64_t>(
+                                     kMaxHold - kMinHold + 1)));
     TimeNs until = std::min(at + hold, params_.horizon);
     schedule_event(kind, at, until);
   }
@@ -208,8 +207,7 @@ void Nemesis::schedule_event(Kind kind, TimeNs at, TimeNs until) {
       break;
     }
     case Kind::kDupStorm: {
-      double lo = std::min(0.1, params_.dup_p_max);
-      double p = lo + rng_.uniform() * (params_.dup_p_max - lo);
+      double p = 0.1 + rng_.uniform() * (kDupPMax - 0.1);
       schedule_storm("duplicate storm", p, at, until, &Cluster::duplicate_link,
                      &Cluster::duplicate_all_links);
       break;

@@ -46,12 +46,9 @@ struct NemesisParams {
   /// `horizon` at the latest.
   TimeNs start = ms(20);
   TimeNs horizon = ms(300);
-  /// Number of fault events drawn from the seed.
+  /// Number of fault events drawn from the seed. Each stays active for
+  /// a hold uniform in [20ms, 120ms], clamped to end by `horizon`.
   std::size_t events = 8;
-  /// How long one fault stays active (uniform in [min_hold, max_hold],
-  /// clamped to end by `horizon`).
-  TimeNs min_hold = ms(20);
-  TimeNs max_hold = ms(120);
   /// Servers crashed at most (must stay <= config().f or quorums die
   /// with the fault budget); 0 disables crash events.
   std::uint32_t crash_budget = 0;
@@ -60,16 +57,8 @@ struct NemesisParams {
   /// restarted process rejoining with empty state as a new client.
   bool reader_restarts = false;
   WorkloadParams restart_workload;
-  /// Enabled fault kinds.
-  bool partitions = true;
-  bool asymmetric = true;
-  bool drops = true;
-  bool duplicates = true;
-  bool slow_downs = true;
-  bool reorder = true;  // applied by the simulator only
-  /// Probability caps for the storm events.
+  /// Probability cap for drop storms (duplicate storms cap at 0.5).
   double drop_p_max = 0.5;
-  double dup_p_max = 0.5;
   /// Restricts the chaos to ONE shard of a sharded deployment: crash /
   /// slow / partition victims come from that shard's servers only, and
   /// drop/duplicate storms become per-link rates on that shard's links
