@@ -158,9 +158,9 @@ Cluster::Cluster(const ClusterBuilder& spec)
     SocketEnv::Options opts;
     opts.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
     // Every message — even between processes of this one OS process —
-    // goes out through our own listener and back through the kernel, so
-    // the single-process deployment exercises the real wire path.
-    opts.loopback_self = true;
+    // goes out through our own listener and back through the kernel (as
+    // SocketEnv always routes local sends), so the single-process
+    // deployment exercises the real wire path.
     opts.latency = degradable_;
     opts.seed = spec.seed_;
     socket_ = std::make_shared<SocketEnv>(opts);

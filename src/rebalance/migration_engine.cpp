@@ -1,5 +1,8 @@
 #include "rebalance/migration_engine.h"
 
+#include "runtime/msg_pool.h"
+#include "storage/migration_messages.h"
+
 namespace wrs {
 
 MigrationEngine::MigrationEngine(Env& env, ProcessId self, ShardMap map,
@@ -69,28 +72,50 @@ void MigrationEngine::migrate(const RegisterKey& key, ShardId to, DoneCb cb) {
     ++stats_.in_flight;
     stats_.epoch = epoch;
   }
-  // Round 1 — fence the source group and collect the final read.
-  clients_[src]->freeze_key(
-      key, epoch, to,
-      [this, key, src, to, epoch, cb = std::move(cb)](const TaggedValue& fin) {
+  // Round 1 — fence the source group and collect the final read: the
+  // max-tag replica over the freeze acks. A quorum of fence acks
+  // intersects every completed write quorum, so it is the definitive
+  // replica to hand to the destination; no write-back round.
+  ShardId src_shard = map_.config(src).shard;
+  clients_[src]->round(
+      [key, epoch, to, src_shard](OpId id, std::uint32_t seq) {
+        return make_msg<MigFreeze>(id, key, epoch, to, seq, src_shard);
+      },
+      [this, key, src, to, epoch,
+       cb = std::move(cb)](const std::vector<AbdClient::Reply>& replies) {
+        TaggedValue fin;
+        for (const AbdClient::Reply& r : replies) {
+          const auto* ack = msg_cast<ReadAck>(*r.msg);
+          if (ack && fin.tag < ack->reg().tag) fin = ack->reg();
+        }
         // Round 2 — install the frozen replica at the destination and
         // flip ownership there, atomically per server.
-        clients_[to]->commit_mark(
-            key, to, epoch, fin,
-            [this, key, src, to, epoch, cb = std::move(cb)](const Tag&) {
-              // A destination quorum now owns the key: this is the
-              // handoff's linearization point. Adopt it authoritatively
-              // before un-fencing the source, so owner_of() never lags
-              // the servers.
-              map_.apply_override(key, to, epoch);
-              // Round 3 — lift the source fence; parked requests drain
-              // as redirects and late clients learn the move lazily.
-              clients_[src]->commit_mark(
-                  key, to, epoch, std::nullopt,
-                  [this, key, cb = std::move(cb)](const Tag&) {
-                    finish(key, true, cb);
-                  });
-            });
+        commit(to, key, to, epoch, fin, [this, key, src, to, epoch, cb] {
+          // A destination quorum now owns the key: this is the handoff's
+          // linearization point. Adopt it authoritatively before
+          // un-fencing the source, so owner_of() never lags the servers.
+          map_.apply_override(key, to, epoch);
+          // Round 3 — lift the source fence; parked requests drain as
+          // redirects and late clients learn the move lazily.
+          commit(src, key, to, epoch, std::nullopt,
+                 [this, key, cb] { finish(key, true, cb); });
+        });
+      });
+}
+
+void MigrationEngine::commit(ShardId g, const RegisterKey& key, ShardId owner,
+                             std::uint64_t epoch,
+                             std::optional<TaggedValue> install,
+                             std::function<void()> then) {
+  // One round of commit acks at group g; only the quorum matters.
+  ShardId shard = map_.config(g).shard;
+  clients_[g]->round(
+      [key, owner, epoch, install = std::move(install), shard](
+          OpId id, std::uint32_t seq) {
+        return make_msg<MigCommit>(id, key, owner, epoch, install, seq, shard);
+      },
+      [then = std::move(then)](const std::vector<AbdClient::Reply>&) {
+        then();
       });
 }
 

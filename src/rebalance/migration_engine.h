@@ -7,8 +7,8 @@
 // single allocator of map epochs, which is what makes "newest epoch
 // wins" a total order. migrate(key, to) runs the three quorum rounds —
 // freeze+final-read at the source, commit+install at the destination,
-// commit at the source — each through a per-shard AbdClient, so loss,
-// duplication and partitions are absorbed by the ordinary retry /
+// commit at the source — each an AbdClient::round() at that shard, so
+// loss, duplication and partitions are absorbed by the ordinary retry /
 // idempotent-reapply machinery of the ABD layer. Migrations of the same
 // key are serialized (a concurrent attempt is refused, counted, and
 // reported to its callback); migrations of distinct keys pipeline
@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -82,6 +83,12 @@ class MigrationEngine : public Process {
 
  private:
   void finish(const RegisterKey& key, bool ok, const DoneCb& cb);
+  /// One MigCommit round at group `g` ("key is owned by `owner` as of
+  /// `epoch`", carrying the frozen replica on the destination side);
+  /// `then` runs once a weighted quorum acked.
+  void commit(ShardId g, const RegisterKey& key, ShardId owner,
+              std::uint64_t epoch, std::optional<TaggedValue> install,
+              std::function<void()> then);
 
   Env& env_;
   ProcessId self_;

@@ -26,11 +26,11 @@
 // Cluster::isolate() exercises real TCP teardown + reconnect-with-backoff
 // instead of a polite in-memory filter (fault_teardowns() counts these).
 //
-// `loopback_self` (used by Cluster's single-process socket mode) routes
-// even local->local messages out through this env's own listener: every
-// protocol message makes a real kernel round trip, which is what makes
-// single-process socket tests representative of the multi-process
-// deployment.
+// Local->local messages (a client and the servers it talks to in one
+// env, as in Cluster's single-process socket mode) go out through this
+// env's own listener: every protocol message makes a real kernel round
+// trip, which is what makes single-process socket tests representative
+// of the multi-process deployment.
 #pragma once
 #ifdef __linux__
 
@@ -58,9 +58,6 @@ class SocketEnv : public Env {
     /// Where this env accepts connections (TCP port 0 = ephemeral; read
     /// the actual address back with listen_addr()).
     net::SocketAddr listen;
-    /// Route local->local sends through our own listener (real kernel
-    /// round trip) instead of delivering in-process.
-    bool loopback_self = false;
     /// Optional extra delivery delay (WAN emulation); null = none.
     std::shared_ptr<LatencyModel> latency;
     std::uint64_t seed = 1;
@@ -78,9 +75,9 @@ class SocketEnv : public Env {
   /// arena (zero heap allocations per message in steady state; the
   /// runtime_overhead bench gates this). Throws std::invalid_argument
   /// for message types outside the wire protocol (WireCodec::encodable).
-  /// A message to a pid with neither a local handler, a static route,
-  /// nor a learned connection is dropped and counted
-  /// ("msgs.unroutable").
+  /// A message to a local pid goes out through our own listener. A
+  /// message to a pid with neither a local handler, a static route, nor
+  /// a learned connection is dropped and counted ("msgs.unroutable").
   void send(ProcessId from, ProcessId to, MsgPtr msg) override;
   void schedule(ProcessId pid, TimeNs delay, Task fn) override;
   /// Allowed before or after start(); after, on_start is delivered
@@ -132,7 +129,7 @@ class SocketEnv : public Env {
   net::SocketTransport transport_;
   std::chrono::steady_clock::time_point epoch_;
   net::SocketTransport::PeerId self_peer_ =
-      net::SocketTransport::kNoPeer;  // loopback_self target (after start)
+      net::SocketTransport::kNoPeer;  // local->local target (after start)
   net::SocketAddr self_addr_;
 
   mutable std::mutex mu_;  // guards everything below

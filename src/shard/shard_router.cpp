@@ -4,7 +4,22 @@
 #include <set>
 #include <stdexcept>
 
+#include "runtime/msg_pool.h"
+#include "storage/migration_messages.h"
+
 namespace wrs {
+
+namespace {
+
+std::vector<RegisterKey> part_keys(const std::vector<RegisterKey>& keys,
+                                   const std::vector<std::size_t>& idxs) {
+  std::vector<RegisterKey> ks;
+  ks.reserve(idxs.size());
+  for (std::size_t i : idxs) ks.push_back(keys[i]);
+  return ks;
+}
+
+}  // namespace
 
 ShardRouter::ShardRouter(Env& env, ProcessId self, ShardMap map,
                          AbdClient::Mode mode)
@@ -120,12 +135,12 @@ OpId ShardRouter::snapshot(std::vector<RegisterKey> keys, SnapshotCallback cb) {
   return snap_collect_round(std::move(st));
 }
 
-std::vector<std::pair<ShardId, std::vector<std::size_t>>>
-ShardRouter::snap_partition(const SnapState& st) const {
+std::vector<ShardRouter::Part> ShardRouter::snap_partition(
+    const SnapState& st) const {
   // Group key indices by their CURRENT shard (a retried round re-reads
   // the map, so overrides learned from moved flags take effect). The
   // handful of involved shards makes the linear scan cheaper than a map.
-  std::vector<std::pair<ShardId, std::vector<std::size_t>>> parts;
+  std::vector<Part> parts;
   for (std::size_t i = 0; i < st.keys.size(); ++i) {
     ShardId g = map_.shard_of(st.keys[i]);
     auto it = std::find_if(parts.begin(), parts.end(),
@@ -139,35 +154,95 @@ ShardRouter::snap_partition(const SnapState& st) const {
   return parts;
 }
 
-OpId ShardRouter::snap_collect_round(SnapPtr st) {
-  ++st->rounds;
-  ++snapshot_rounds_;
-  auto parts = snap_partition(*st);
+OpId ShardRouter::snap_fan_out(
+    const SnapPtr& st, const std::vector<Part>& parts,
+    const std::function<AbdClient::RoundRequest(const Part&)>& request,
+    const PartFold& fold, const std::function<void()>& then) {
   st->pending = parts.size();
   OpId first = 0;
-  for (auto& part : parts) {
-    const std::vector<std::size_t>& idxs = part.second;
-    std::vector<RegisterKey> ks;
-    ks.reserve(idxs.size());
-    for (std::size_t i : idxs) ks.push_back(st->keys[i]);
-    OpId id = clients_[part.first]->collect(
-        std::move(ks),
-        [this, st, idxs](const std::vector<AbdClient::CollectEntry>& es) {
-          for (std::size_t j = 0; j < idxs.size(); ++j) {
-            st->acc[idxs[j]] = es[j];
-          }
-          if (--st->pending == 0) snap_collect_done(st);
+  for (const Part& part : parts) {
+    OpId id = clients_[part.first]->round(
+        request(part),
+        [st, part, fold, then](const std::vector<AbdClient::Reply>& replies) {
+          fold(part, replies);
+          if (--st->pending == 0) then();
         });
     if (first == 0) first = id;
   }
   return first;
 }
 
+void ShardRouter::snap_fold(SnapState& st, const Part& part,
+                            const std::vector<AbdClient::Reply>& replies) {
+  // The last SnapAck of each responder, at its first reply's position.
+  std::vector<std::pair<ProcessId, const SnapAck*>> last;
+  for (const AbdClient::Reply& r : replies) {
+    const auto* ack = msg_cast<SnapAck>(*r.msg);
+    if (!ack) continue;
+    auto slot = std::find_if(last.begin(), last.end(),
+                             [&](const auto& l) { return l.first == r.from; });
+    if (slot == last.end()) {
+      last.emplace_back(r.from, ack);
+    } else {
+      slot->second = ack;
+    }
+  }
+  // Per-key fold: max tag over kOk entries, unanimity of that tag, and
+  // any raised routing flag (kMoved wins over kFrozen — it carries the
+  // override the router needs; either one fails the round).
+  const std::vector<std::size_t>& idxs = part.second;
+  for (std::size_t j = 0; j < idxs.size(); ++j) {
+    CollectEntry& ce = st.acc[idxs[j]];
+    ce = CollectEntry{};
+    bool first = true;
+    for (const auto& [pid, ack] : last) {
+      if (ack->entries().size() != idxs.size()) continue;  // malformed
+      const SnapEntry& e = ack->entries()[j];
+      if (e.flag != SnapEntry::kOk) {
+        if (ce.flag == SnapEntry::kOk || e.flag == SnapEntry::kMoved) {
+          ce.flag = e.flag;
+          ce.owner = e.owner;
+          ce.epoch = e.epoch;
+        }
+        continue;
+      }
+      if (first) {
+        ce.reg = e.reg;
+        ce.unanimous = true;
+        first = false;
+      } else {
+        if (e.reg.tag != ce.reg.tag) ce.unanimous = false;
+        if (ce.reg.tag < e.reg.tag) ce.reg = e.reg;
+      }
+    }
+    if (ce.flag != SnapEntry::kOk) ce.unanimous = false;
+  }
+}
+
+OpId ShardRouter::snap_collect_round(SnapPtr st) {
+  ++st->rounds;
+  ++snapshot_rounds_;
+  return snap_fan_out(
+      st, snap_partition(*st),
+      [this, &st](const Part& part) -> AbdClient::RoundRequest {
+        return [ks = part_keys(st->keys, part.second),
+                shard = map_.config(part.first).shard](OpId id,
+                                                       std::uint32_t seq) {
+          return make_msg<SnapReq>(id, ks, seq, shard);
+        };
+      },
+      [st](const Part& part, const std::vector<AbdClient::Reply>& replies) {
+        snap_fold(*st, part, replies);
+      },
+      [this, st] { snap_collect_done(st); });
+}
+
 void ShardRouter::snap_collect_done(SnapPtr st) {
   bool flagged = false;
-  for (const AbdClient::CollectEntry& ce : st->acc) {
+  for (std::size_t i = 0; i < st->acc.size(); ++i) {
+    const CollectEntry& ce = st->acc[i];
     if (ce.flag == SnapEntry::kMoved) {
-      map_.apply_override(ce.key, ce.owner, ce.epoch);
+      map_.apply_override(st->keys[i], ce.owner, ce.epoch);
       flagged = true;
     } else if (ce.flag != SnapEntry::kOk) {
       flagged = true;
@@ -216,9 +291,8 @@ void ShardRouter::snap_install_and_finish(SnapPtr st) {
   if (need.empty()) return snap_finish(std::move(st));
   st->pending = need.size();
   for (std::size_t i : need) {
-    const AbdClient::CollectEntry& ce = st->acc[i];
-    clients_[map_.shard_of(ce.key)]->install(
-        ce.key, ce.reg, [this, st](const Tag&) {
+    clients_[map_.shard_of(st->keys[i])]->install(
+        st->keys[i], st->acc[i].reg, [this, st](const Tag&) {
           if (--st->pending == 0) snap_finish(st);
         });
   }
@@ -231,21 +305,19 @@ void ShardRouter::snap_fallback(SnapPtr st) {
   // stale fences of its own previous attempt.
   st->snap_id = (static_cast<SnapId>(self_) << 32) | ++snap_seq_;
   st->frozen_parts = snap_partition(*st);
-  st->pending = st->frozen_parts.size();
-  for (auto& part : st->frozen_parts) {
-    const std::vector<std::size_t>& idxs = part.second;
-    std::vector<RegisterKey> ks;
-    ks.reserve(idxs.size());
-    for (std::size_t i : idxs) ks.push_back(st->keys[i]);
-    clients_[part.first]->snap_freeze(
-        st->snap_id, std::move(ks),
-        [this, st, idxs](const std::vector<AbdClient::CollectEntry>& es) {
-          for (std::size_t j = 0; j < idxs.size(); ++j) {
-            st->acc[idxs[j]] = es[j];
-          }
-          if (--st->pending == 0) snap_freeze_done(st);
-        });
-  }
+  snap_fan_out(
+      st, st->frozen_parts,
+      [this, &st](const Part& part) -> AbdClient::RoundRequest {
+        return [snap_id = st->snap_id, ks = part_keys(st->keys, part.second),
+                shard = map_.config(part.first).shard](OpId id,
+                                                       std::uint32_t seq) {
+          return make_msg<SnapFreeze>(id, snap_id, ks, seq, shard);
+        };
+      },
+      [st](const Part& part, const std::vector<AbdClient::Reply>& replies) {
+        snap_fold(*st, part, replies);
+      },
+      [this, st] { snap_freeze_done(st); });
 }
 
 void ShardRouter::snap_freeze_done(SnapPtr st) {
@@ -253,49 +325,62 @@ void ShardRouter::snap_freeze_done(SnapPtr st) {
   // foreign snapshot aborts (never hold our fences while waiting on
   // someone else's — that is how distributed deadlocks are built).
   bool adopt = true;
-  for (const AbdClient::CollectEntry& ce : st->acc) {
+  for (std::size_t i = 0; i < st->acc.size(); ++i) {
+    const CollectEntry& ce = st->acc[i];
     if (ce.flag == SnapEntry::kMoved) {
-      map_.apply_override(ce.key, ce.owner, ce.epoch);
+      map_.apply_override(st->keys[i], ce.owner, ce.epoch);
       adopt = false;
     } else if (ce.flag != SnapEntry::kOk) {
       adopt = false;
     }
   }
   st->all_held = true;
-  st->pending = st->frozen_parts.size();
-  for (const auto& part : st->frozen_parts) {
-    const std::vector<std::size_t>& idxs = part.second;
-    std::vector<SnapEntry> installs;
-    installs.reserve(idxs.size());
-    for (std::size_t i : idxs) {
-      SnapEntry e;
-      e.key = st->keys[i];
-      if (adopt) {
-        e.reg = st->acc[i].reg;  // the scan embedded in our own update
-      } else {
-        e.flag = SnapEntry::kFrozen;  // lift-only: abort this attempt
-      }
-      installs.push_back(std::move(e));
-    }
-    clients_[part.first]->snap_release(
-        st->snap_id, std::move(installs), [this, st, adopt](bool held) {
-          if (!held) st->all_held = false;
-          if (--st->pending != 0) return;
-          if (adopt && st->all_held) return snap_finish(st);
-          // Aborted, or a fence TTL-expired before we released it (a
-          // write may have slipped past the cut): retry with a fresh
-          // instance id. Moved keys already taught the map, so the next
-          // attempt freezes at the current owners. The retry is DELAYED
-          // by seeded jittered exponential backoff: clients whose
-          // snapshots overlap abort on each other's fences, and bare
-          // re-freezing keeps them aborting in lockstep forever.
-          std::uint32_t shift = std::min<std::uint32_t>(st->backoffs++, 5);
-          auto delay = static_cast<TimeNs>(
-              snap_rng_.uniform(0.5, 1.5) *
-              static_cast<double>(ms(1) << shift));
-          env_.schedule(self_, delay, [this, st] { snap_fallback(st); });
-        });
-  }
+  snap_fan_out(
+      st, st->frozen_parts,
+      [this, &st, adopt](const Part& part) -> AbdClient::RoundRequest {
+        std::vector<SnapEntry> installs;
+        installs.reserve(part.second.size());
+        for (std::size_t i : part.second) {
+          SnapEntry e;
+          e.key = st->keys[i];
+          if (adopt) {
+            e.reg = st->acc[i].reg;  // the scan embedded in our own update
+          } else {
+            e.flag = SnapEntry::kFrozen;  // lift-only: abort this attempt
+          }
+          installs.push_back(std::move(e));
+        }
+        return [snap_id = st->snap_id, installs = std::move(installs),
+                shard = map_.config(part.first).shard](OpId id,
+                                                       std::uint32_t seq) {
+          return make_msg<SnapRelease>(id, snap_id, installs, seq, shard);
+        };
+      },
+      [st](const Part&, const std::vector<AbdClient::Reply>& replies) {
+        // One false `held` poisons the round, even if the same server
+        // answered again with true: some fence TTL-expired (or a
+        // retransmit raced the first release) and writes may have
+        // slipped past the cut.
+        for (const AbdClient::Reply& r : replies) {
+          const auto* ack = msg_cast<SnapAck>(*r.msg);
+          if (ack && !ack->held()) st->all_held = false;
+        }
+      },
+      [this, st, adopt] {
+        if (adopt && st->all_held) return snap_finish(st);
+        // Aborted, or a fence TTL-expired before we released it (a write
+        // may have slipped past the cut): retry with a fresh instance id.
+        // Moved keys already taught the map, so the next attempt freezes
+        // at the current owners. The retry is DELAYED by seeded jittered
+        // exponential backoff: clients whose snapshots overlap abort on
+        // each other's fences, and bare re-freezing keeps them aborting
+        // in lockstep forever.
+        std::uint32_t shift = std::min<std::uint32_t>(st->backoffs++, 5);
+        auto delay = static_cast<TimeNs>(
+            snap_rng_.uniform(0.5, 1.5) *
+            static_cast<double>(ms(1) << shift));
+        env_.schedule(self_, delay, [this, st] { snap_fallback(st); });
+      });
 }
 
 void ShardRouter::snap_finish(SnapPtr st) {

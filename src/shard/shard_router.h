@@ -36,7 +36,9 @@
 // (lift-only release) and retries under seeded jittered exponential
 // backoff — contending snapshotters that abort each other's fences in
 // lockstep would otherwise livelock; moved keys teach the router's map
-// the same way WrongShardAck redirects do.
+// the same way WrongShardAck redirects do. Each of those rounds is one
+// AbdClient::round() per involved shard: the router builds the SnapReq /
+// SnapFreeze / SnapRelease and folds the SnapAcks itself.
 //
 // Replies route back by SENDER: a server's global id names its shard, so
 // handle() dispatches to exactly one inner client (no per-client probing
@@ -51,6 +53,7 @@
 #include "common/rng.h"
 #include "shard/shard_map.h"
 #include "storage/abd_client.h"
+#include "storage/snapshot_messages.h"
 
 namespace wrs {
 
@@ -155,6 +158,21 @@ class ShardRouter {
     AbdClient::WriteCallback wcb;
   };
 
+  /// One key's fold over a weighted quorum of SnapAcks (the last reply
+  /// of each responder): the max-tag replica, whether every responder
+  /// reported that same tag (unanimous => the tag is already committed at
+  /// this quorum), and any routing flag a responder raised.
+  struct CollectEntry {
+    TaggedValue reg;
+    std::uint8_t flag = SnapEntry::kOk;
+    ShardId owner = 0;        ///< valid when flag == SnapEntry::kMoved
+    std::uint64_t epoch = 0;  ///< valid when flag == SnapEntry::kMoved
+    bool unanimous = false;
+  };
+
+  /// A shard and the indices (into SnapState::keys) of its keys.
+  using Part = std::pair<ShardId, std::vector<std::size_t>>;
+
   /// One in-flight snapshot's state machine, shared by the per-shard
   /// fan-out callbacks of its current round.
   struct SnapState {
@@ -166,7 +184,7 @@ class ShardRouter {
     bool have_prev = false;
     std::vector<Tag> prev_tags;
     /// Current round's per-key aggregates, index-aligned with `keys`.
-    std::vector<AbdClient::CollectEntry> acc;
+    std::vector<CollectEntry> acc;
     std::size_t pending = 0;  ///< shards (or installs) still outstanding
     bool all_held = true;
     SnapId snap_id = 0;
@@ -174,12 +192,24 @@ class ShardRouter {
     /// Fallback freeze partition (shard, key indices): the release round
     /// targets the SAME groups that were frozen, even if the map learns
     /// new overrides in between.
-    std::vector<std::pair<ShardId, std::vector<std::size_t>>> frozen_parts;
+    std::vector<Part> frozen_parts;
   };
   using SnapPtr = std::shared_ptr<SnapState>;
 
-  std::vector<std::pair<ShardId, std::vector<std::size_t>>> snap_partition(
-      const SnapState& st) const;
+  std::vector<Part> snap_partition(const SnapState& st) const;
+  /// The snapshot's rounds: one AbdClient::round() per part, at the
+  /// part's shard, in part order. request(part) builds that part's
+  /// request; fold(part, replies) runs as its round closes, then() after
+  /// the last one.
+  using PartFold =
+      std::function<void(const Part&, const std::vector<AbdClient::Reply>&)>;
+  OpId snap_fan_out(
+      const SnapPtr& st, const std::vector<Part>& parts,
+      const std::function<AbdClient::RoundRequest(const Part&)>& request,
+      const PartFold& fold, const std::function<void()>& then);
+  /// Folds a part's SnapAcks into st.acc (collect and freeze rounds).
+  static void snap_fold(SnapState& st, const Part& part,
+                        const std::vector<AbdClient::Reply>& replies);
   OpId snap_collect_round(SnapPtr st);
   void snap_collect_done(SnapPtr st);
   void snap_install_and_finish(SnapPtr st);

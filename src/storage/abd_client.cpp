@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <set>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "runtime/msg_pool.h"
+#include "storage/snapshot_messages.h"
 
 namespace wrs {
 
@@ -54,62 +57,27 @@ OpId AbdClient::write(RegisterKey key, Value value, WriteCallback cb) {
 }
 
 OpId AbdClient::list_keys(KeysCallback cb) {
-  Op op;
-  op.kind = OpKind::kListKeys;
-  op.kcb = std::move(cb);
-  return enqueue(std::move(op));
+  ShardId shard = config_.shard;
+  return round(
+      [shard](OpId id, std::uint32_t seq) {
+        return make_msg<KeysReq>(id, seq, shard);
+      },
+      [cb = std::move(cb)](const std::vector<Reply>& replies) {
+        std::set<RegisterKey> keys;
+        for (const Reply& r : replies) {
+          if (const auto* ack = msg_cast<KeysAck>(*r.msg)) {
+            keys.insert(ack->keys().begin(), ack->keys().end());
+          }
+        }
+        cb(std::vector<RegisterKey>(keys.begin(), keys.end()));
+      });
 }
 
-OpId AbdClient::freeze_key(RegisterKey key, std::uint64_t epoch, ShardId dest,
-                           ReadCallback cb) {
+OpId AbdClient::round(RoundRequest request, RoundDone done) {
   Op op;
-  op.kind = OpKind::kFreeze;
-  op.key = std::move(key);
-  op.mig_epoch = epoch;
-  op.mig_owner = dest;
-  op.rcb = std::move(cb);
-  return enqueue(std::move(op));
-}
-
-OpId AbdClient::commit_mark(RegisterKey key, ShardId owner,
-                            std::uint64_t epoch,
-                            std::optional<TaggedValue> install,
-                            WriteCallback cb) {
-  Op op;
-  op.kind = OpKind::kCommit;
-  op.key = std::move(key);
-  op.mig_epoch = epoch;
-  op.mig_owner = owner;
-  op.mig_install = std::move(install);
-  op.wcb = std::move(cb);
-  return enqueue(std::move(op));
-}
-
-OpId AbdClient::collect(std::vector<RegisterKey> keys, CollectCallback cb) {
-  Op op;
-  op.kind = OpKind::kCollect;
-  op.snap_keys = std::move(keys);
-  op.ccb = std::move(cb);
-  return enqueue(std::move(op));
-}
-
-OpId AbdClient::snap_freeze(SnapId snap_id, std::vector<RegisterKey> keys,
-                            CollectCallback cb) {
-  Op op;
-  op.kind = OpKind::kSnapFreeze;
-  op.snap_id = snap_id;
-  op.snap_keys = std::move(keys);
-  op.ccb = std::move(cb);
-  return enqueue(std::move(op));
-}
-
-OpId AbdClient::snap_release(SnapId snap_id, std::vector<SnapEntry> installs,
-                             ReleaseCallback cb) {
-  Op op;
-  op.kind = OpKind::kSnapRelease;
-  op.snap_id = snap_id;
-  op.snap_installs = std::move(installs);
-  op.relcb = std::move(cb);
+  op.kind = OpKind::kRound;
+  op.request = std::move(request);
+  op.done = std::move(done);
   return enqueue(std::move(op));
 }
 
@@ -127,10 +95,7 @@ std::optional<AbdClient::EjectedOp> AbdClient::eject(OpId id) {
   auto it = ops_.find(id);
   if (it == ops_.end()) return std::nullopt;
   Op& op = it->second;
-  if (op.kind != OpKind::kRead && op.kind != OpKind::kWrite &&
-      op.kind != OpKind::kInstall) {
-    return std::nullopt;
-  }
+  if (op.kind == OpKind::kRound) return std::nullopt;
   EjectedOp out;
   out.kind = op.kind;
   out.key = op.key;
@@ -178,21 +143,17 @@ OpId AbdClient::enqueue(Op op) {
 }
 
 void AbdClient::start_phase1(Op& op) {
-  if (op.kind == OpKind::kCommit || op.kind == OpKind::kInstall) {
-    // One-round verbs that only collect WriteAcks (a commit's mark round,
-    // a snapshot install of a preset tag): every (re)start — including
-    // change-set restarts — re-runs the ack phase directly.
+  if (op.kind == OpKind::kInstall) {
+    // A snapshot install of a preset tag only collects WriteAcks: every
+    // (re)start — including change-set restarts — re-runs the ack phase.
     start_phase2(op);
     return;
   }
   op.phase = 1;
   ++op.seq;
   op.phase1_replies.clear();
-  op.phase2_acks.clear();
-  op.keys_acks.clear();
-  op.keys_acc.clear();
-  op.snap_replies.clear();
-  op.snap_all_held = true;
+  op.responders.clear();
+  op.replies.clear();
   broadcast_phase(op);
   schedule_retry(op.id, op.seq);
 }
@@ -200,42 +161,26 @@ void AbdClient::start_phase1(Op& op) {
 void AbdClient::start_phase2(Op& op) {
   op.phase = 2;
   ++op.seq;
-  op.phase2_acks.clear();
+  op.responders.clear();
   broadcast_phase(op);
   schedule_retry(op.id, op.seq);
 }
 
 void AbdClient::broadcast_phase(const Op& op) {
+  if (op.kind == OpKind::kRound) {
+    // Rounds are control traffic (collects, fences, key discovery) and
+    // never coalesce into a batch envelope.
+    env_.broadcast_to_group(self_, servers_, op.request(op.id, op.seq));
+    return;
+  }
   MsgPtr req;
-  if (op.kind == OpKind::kFreeze) {
-    req = make_msg<MigFreeze>(op.id, op.key, op.mig_epoch,
-                                      op.mig_owner, op.seq, config_.shard);
-  } else if (op.kind == OpKind::kCommit) {
-    req = make_msg<MigCommit>(op.id, op.key, op.mig_owner,
-                                      op.mig_epoch, op.mig_install, op.seq,
-                                      config_.shard);
-  } else if (op.kind == OpKind::kCollect) {
-    req = make_msg<SnapReq>(op.id, op.snap_keys, op.seq, config_.shard);
-  } else if (op.kind == OpKind::kSnapFreeze) {
-    req = make_msg<SnapFreeze>(op.id, op.snap_id, op.snap_keys, op.seq,
-                               config_.shard);
-  } else if (op.kind == OpKind::kSnapRelease) {
-    req = make_msg<SnapRelease>(op.id, op.snap_id, op.snap_installs, op.seq,
-                                config_.shard);
-  } else if (op.phase == 2) {
+  if (op.phase == 2) {
     req = make_msg<WriteReq>(op.id, op.to_write, op.key, op.seq,
-                                     config_.shard);
-  } else if (op.kind == OpKind::kListKeys) {
-    req = make_msg<KeysReq>(op.id, op.seq, config_.shard);
+                             config_.shard);
   } else {
     req = make_msg<ReadReq>(op.id, op.key, op.seq, config_.shard);
   }
-  // Migration and snapshot verbs never coalesce: servers apply them
-  // outside the batched-frame path (fences and collects are rare control
-  // traffic, not hot ops). Installs are plain WriteReqs and batch freely.
-  if (!batching() || op.kind == OpKind::kFreeze ||
-      op.kind == OpKind::kCommit || op.kind == OpKind::kCollect ||
-      op.kind == OpKind::kSnapFreeze || op.kind == OpKind::kSnapRelease) {
+  if (!batching()) {
     env_.broadcast_to_group(self_, servers_, req);
     return;
   }
@@ -310,64 +255,16 @@ void AbdClient::complete(OpId id) {
   ops_.erase(it);
   switch (finished.kind) {
     case OpKind::kRead:
-    case OpKind::kFreeze:
-      finished.rcb(finished.read_result);
+      finished.rcb(finished.to_write);
       break;
     case OpKind::kWrite:
-    case OpKind::kCommit:
     case OpKind::kInstall:
       finished.wcb(finished.to_write.tag);
       break;
-    case OpKind::kListKeys: {
-      std::vector<RegisterKey> keys(finished.keys_acc.begin(),
-                                    finished.keys_acc.end());
-      finished.kcb(keys);
-      break;
-    }
-    case OpKind::kCollect:
-    case OpKind::kSnapFreeze:
-      finished.ccb(aggregate_snap(finished));
-      break;
-    case OpKind::kSnapRelease:
-      finished.relcb(finished.snap_all_held);
+    case OpKind::kRound:
+      finished.done(finished.replies);
       break;
   }
-}
-
-std::vector<AbdClient::CollectEntry> AbdClient::aggregate_snap(
-    const Op& op) const {
-  // Per-key fold over the quorum's SnapAck entry vectors: max tag over
-  // kOk entries, unanimity of that tag, and any raised routing flag
-  // (kMoved wins over kFrozen — it carries the override the router
-  // needs; either one fails the round).
-  std::vector<CollectEntry> out(op.snap_keys.size());
-  for (std::size_t i = 0; i < op.snap_keys.size(); ++i) {
-    CollectEntry& ce = out[i];
-    ce.key = op.snap_keys[i];
-    bool first = true;
-    for (const auto& [pid, entries] : op.snap_replies) {
-      if (entries.size() != op.snap_keys.size()) continue;  // malformed
-      const SnapEntry& e = entries[i];
-      if (e.flag != SnapEntry::kOk) {
-        if (ce.flag == SnapEntry::kOk || e.flag == SnapEntry::kMoved) {
-          ce.flag = e.flag;
-          ce.owner = e.owner;
-          ce.epoch = e.epoch;
-        }
-        continue;
-      }
-      if (first) {
-        ce.reg = e.reg;
-        ce.unanimous = true;
-        first = false;
-      } else {
-        if (e.reg.tag != ce.reg.tag) ce.unanimous = false;
-        if (ce.reg.tag < e.reg.tag) ce.reg = e.reg;
-      }
-    }
-    if (ce.flag != SnapEntry::kOk) ce.unanimous = false;
-  }
-  return out;
 }
 
 bool AbdClient::merge_and_maybe_restart(const ChangeSetPtr& incoming) {
@@ -400,14 +297,6 @@ bool AbdClient::responders_form_quorum(
   return sum * Weight(2) > initial_total_;
 }
 
-bool AbdClient::responders_form_quorum(
-    const std::vector<std::pair<ProcessId, TaggedValue>>& replies) const {
-  WeightMap weights = current_weights();
-  Weight sum(0);
-  for (const auto& [s, reg] : replies) sum += weights.of(s);
-  return sum * Weight(2) > initial_total_;
-}
-
 bool AbdClient::handle(ProcessId from, const Message& msg) {
   if (const auto* batch = msg_cast<BatchReply>(msg)) {
     // Demultiplex the envelope back into the per-operation state
@@ -422,149 +311,85 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
     return any;
   }
 
-  if (const auto* ack = msg_cast<ReadAck>(msg)) {
-    auto it = ops_.find(ack->op_id());
-    if (it == ops_.end()) return false;  // not mine (or long completed)
-    Op& op = it->second;
-    if (op.phase != 1 || op.kind == OpKind::kListKeys ||
-        ack->seq() != op.seq) {
-      return true;  // stale reply (from a restarted phase): consumed
-    }
-    if (merge_and_maybe_restart(ack->changes())) return true;
-    auto slot = std::find_if(
-        op.phase1_replies.begin(), op.phase1_replies.end(),
-        [from](const auto& reply) { return reply.first == from; });
-    if (slot == op.phase1_replies.end()) {
-      op.phase1_replies.emplace_back(from, ack->reg());
-    } else {
-      slot->second = ack->reg();  // duplicate reply: last one wins
-    }
-    if (!responders_form_quorum(op.phase1_replies)) return true;
-
-    // Phase 1 complete: pick the highest tag.
-    TaggedValue maxreg;
-    for (const auto& [_, reg] : op.phase1_replies) {
-      if (maxreg.tag < reg.tag) maxreg = reg;
-    }
-    if (op.kind == OpKind::kFreeze) {
-      // The freeze IS the final read: a quorum of fence acks intersects
-      // every completed write quorum, so maxreg is the definitive replica
-      // to hand to the destination. No write-back round.
-      op.read_result = maxreg;
-      complete(op.id);
-      return true;
-    }
-    if (op.kind == OpKind::kRead) {
-      if (read_fast_path_) {
-        // If EVERY quorum responder already reported the max tag, the
-        // value is provably stored at a weighted quorum and the
-        // write-back is redundant: any later read's quorum intersects
-        // this one and sees a tag >= maxreg.tag. Complete in one round.
-        bool unanimous = true;
-        for (const auto& [_, reg] : op.phase1_replies) {
-          if (reg.tag != maxreg.tag) {
-            unanimous = false;
-            break;
-          }
-        }
-        if (unanimous) {
-          ++fast_path_reads_;
-          env_.count_event(TrafficLedger::kReadsFastPath);
-          op.read_result = maxreg;
-          complete(op.id);
-          return true;
-        }
-      }
-      op.read_result = maxreg;
-      op.to_write = maxreg;  // write-back phase
-    } else {
-      // Choose the write's tag exactly once, even across change-set
-      // restarts: re-tagging the same value would leave "ghost" tags on
-      // servers that partially received an earlier phase 2. The original
-      // tag already dominates every write completed before this
-      // operation started (it came from a quorum read), which is all
-      // atomicity requires.
-      if (!op.write_tag_chosen) {
-        op.to_write.tag = Tag{maxreg.tag.ts + 1, self_};
-        op.write_tag_chosen = true;
-      }
-      op.to_write.value = op.value;
-    }
-    start_phase2(op);
-    return true;
-  }
-
-  if (const auto* ack = msg_cast<WriteAck>(msg)) {
-    auto it = ops_.find(ack->op_id());
-    if (it == ops_.end()) return false;  // not mine (or long completed)
-    Op& op = it->second;
-    if (op.phase != 2 || ack->seq() != op.seq) {
-      return true;  // stale reply: consumed
-    }
-    if (merge_and_maybe_restart(ack->changes())) return true;
-    if (std::find(op.phase2_acks.begin(), op.phase2_acks.end(), from) ==
-        op.phase2_acks.end()) {
-      op.phase2_acks.push_back(from);
-    }
-    if (!responders_form_quorum(op.phase2_acks)) return true;
-    complete(op.id);
-    return true;
-  }
-
-  if (const auto* ack = msg_cast<SnapAck>(msg)) {
-    auto it = ops_.find(ack->op_id());
-    if (it == ops_.end()) return false;  // not mine (or long completed)
-    Op& op = it->second;
-    bool snap_kind = op.kind == OpKind::kCollect ||
-                     op.kind == OpKind::kSnapFreeze ||
-                     op.kind == OpKind::kSnapRelease;
-    if (!snap_kind || ack->seq() != op.seq) {
-      return true;  // stale reply (from a restarted attempt): consumed
-    }
-    if (merge_and_maybe_restart(ack->changes())) return true;
-    if (std::find(op.keys_acks.begin(), op.keys_acks.end(), from) ==
-        op.keys_acks.end()) {
-      op.keys_acks.push_back(from);
-    }
-    if (op.kind == OpKind::kSnapRelease) {
-      // One false `held` poisons the round: some fence TTL-expired (or a
-      // retransmit raced the first release) and writes may have slipped
-      // past the cut — the caller discards and retries.
-      if (!ack->held()) op.snap_all_held = false;
-    } else {
-      auto slot = std::find_if(
-          op.snap_replies.begin(), op.snap_replies.end(),
-          [from](const auto& reply) { return reply.first == from; });
-      if (slot == op.snap_replies.end()) {
-        op.snap_replies.emplace_back(from, ack->entries());
-      } else {
-        slot->second = ack->entries();  // duplicate reply: last one wins
-      }
-    }
-    if (!responders_form_quorum(op.keys_acks)) return true;
-    complete(op.id);
-    return true;
-  }
-
-  if (const auto* ack = msg_cast<KeysAck>(msg)) {
-    auto it = ops_.find(ack->op_id());
-    if (it == ops_.end()) return false;  // not mine (or long completed)
-    Op& op = it->second;
-    if (op.kind != OpKind::kListKeys || ack->seq() != op.seq) {
-      return true;  // stale
-    }
-    if (merge_and_maybe_restart(ack->changes())) return true;
-    if (std::find(op.keys_acks.begin(), op.keys_acks.end(), from) ==
-        op.keys_acks.end()) {
-      op.keys_acks.push_back(from);
-    }
-    for (const auto& key : ack->keys()) op.keys_acc.insert(key);
-    if (!responders_form_quorum(op.keys_acks)) return true;
-    complete(op.id);
-    return true;
-  }
-
+  if (const auto* ack = msg_cast<ReadAck>(msg)) return on_reply(from, *ack);
+  if (const auto* ack = msg_cast<WriteAck>(msg)) return on_reply(from, *ack);
+  if (const auto* ack = msg_cast<SnapAck>(msg)) return on_reply(from, *ack);
+  if (const auto* ack = msg_cast<KeysAck>(msg)) return on_reply(from, *ack);
   return false;
+}
+
+template <typename Ack>
+bool AbdClient::on_reply(ProcessId from, const Ack& ack) {
+  auto it = ops_.find(ack.op_id());
+  if (it == ops_.end()) return false;  // not mine (or long completed)
+  Op& op = it->second;
+  // A read/write phase accepts only its own ack type; a round accepts
+  // whatever its request is answered with.
+  bool expected = op.kind == OpKind::kRound ||
+                  (op.phase == 1 && std::is_same_v<Ack, ReadAck>) ||
+                  (op.phase == 2 && std::is_same_v<Ack, WriteAck>);
+  if (!expected || ack.seq() != op.seq) {
+    return true;  // stale reply (from a restarted attempt): consumed
+  }
+  if (merge_and_maybe_restart(ack.changes())) return true;
+
+  auto seen = std::find(op.responders.begin(), op.responders.end(), from);
+  bool fresh = seen == op.responders.end();
+  std::size_t slot = seen - op.responders.begin();
+  if (fresh) op.responders.push_back(from);
+  if (op.kind == OpKind::kRound) {
+    op.replies.push_back(Reply{from, make_msg<Ack>(ack)});
+  } else if constexpr (std::is_same_v<Ack, ReadAck>) {
+    if (fresh) {
+      op.phase1_replies.push_back(ack.reg());
+    } else {
+      op.phase1_replies[slot] = ack.reg();  // duplicate reply: last one wins
+    }
+  }
+  // The one quorum-close point of every phase and round.
+  if (!responders_form_quorum(op.responders)) return true;
+  if (op.kind == OpKind::kRound || op.phase == 2) {
+    complete(op.id);
+    return true;
+  }
+
+  // Phase 1 complete: pick the highest tag.
+  TaggedValue maxreg;
+  for (const TaggedValue& reg : op.phase1_replies) {
+    if (maxreg.tag < reg.tag) maxreg = reg;
+  }
+  if (op.kind == OpKind::kRead) {
+    op.to_write = maxreg;  // the result, and the write-back's payload
+    if (read_fast_path_) {
+      // If EVERY quorum responder already reported the max tag, the
+      // value is provably stored at a weighted quorum and the
+      // write-back is redundant: any later read's quorum intersects
+      // this one and sees a tag >= maxreg.tag. Complete in one round.
+      bool unanimous = std::all_of(
+          op.phase1_replies.begin(), op.phase1_replies.end(),
+          [&](const TaggedValue& reg) { return reg.tag == maxreg.tag; });
+      if (unanimous) {
+        ++fast_path_reads_;
+        env_.count_event(TrafficLedger::kReadsFastPath);
+        complete(op.id);
+        return true;
+      }
+    }
+  } else {
+    // Choose the write's tag exactly once, even across change-set
+    // restarts: re-tagging the same value would leave "ghost" tags on
+    // servers that partially received an earlier phase 2. The original
+    // tag already dominates every write completed before this
+    // operation started (it came from a quorum read), which is all
+    // atomicity requires.
+    if (!op.write_tag_chosen) {
+      op.to_write.tag = Tag{maxreg.tag.ts + 1, self_};
+      op.write_tag_chosen = true;
+    }
+    op.to_write.value = op.value;
+  }
+  start_phase2(op);
+  return true;
 }
 
 }  // namespace wrs

@@ -21,8 +21,8 @@
 // keep it: ShardRouter runs the per-key FIFO for every application
 // operation, MigrationEngine serializes per key through its active set,
 // and DynamicStorageNode's refresh reads distinct keys, one batch at a
-// time. Debug builds assert the contract on every enqueue. list_keys(),
-// the snapshot verbs and install() (preset tag) are exempt.
+// time. Debug builds assert the contract on every enqueue. round() and
+// install() (preset tag) are exempt.
 //
 // Dynamic mode: every reply carries the server's change set C'. If C'
 // contains changes the client has not seen, the client merges them and
@@ -40,10 +40,16 @@
 // a mere f+1-server sample does not (a weighted quorum may have fewer
 // than f+1 members).
 //
+// Control rounds: round(request, done) is the one primitive the other
+// protocols build on — list_keys() here, snapshot collects and fences in
+// ShardRouter, migration freezes and commits in MigrationEngine. It is
+// the quorum-collection half of a phase with the same restart and retry
+// rules; the caller builds the request and folds the replies.
+//
 // Batched wire mode (off by default): set_batching(max_ops, max_delay)
-// buffers phase broadcasts and coalesces them into one BatchRequest per
-// flush — flushed as soon as `max_ops` frames are pending or `max_delay`
-// after the first one, whichever comes first. Servers apply each frame
+// buffers read/write phase broadcasts and coalesces them into one
+// BatchRequest per flush — flushed as soon as `max_ops` frames are
+// pending or `max_delay` after the first one, whichever comes first. Servers apply each frame
 // individually and answer with one BatchReply the client demultiplexes,
 // so unique write tags, change-set restarts, and retries are all
 // untouched; only the per-operation message constant shrinks.
@@ -56,7 +62,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -64,8 +69,6 @@
 #include "core/config.h"
 #include "runtime/env.h"
 #include "storage/abd_messages.h"
-#include "storage/migration_messages.h"
-#include "storage/snapshot_messages.h"
 
 namespace wrs {
 
@@ -77,32 +80,21 @@ class AbdClient {
   using WriteCallback = std::function<void(const Tag&)>;
   using KeysCallback = std::function<void(const std::vector<RegisterKey>&)>;
 
-  /// One key's aggregate over a weighted quorum of SnapAcks: the max-tag
-  /// replica, whether every quorum responder reported that same tag
-  /// (unanimous => the tag is already committed at this quorum), and any
-  /// routing flag a responder raised (frozen / moved).
-  struct CollectEntry {
-    RegisterKey key;
-    TaggedValue reg;
-    std::uint8_t flag = SnapEntry::kOk;
-    ShardId owner = 0;        ///< valid when flag == SnapEntry::kMoved
-    std::uint64_t epoch = 0;  ///< valid when flag == SnapEntry::kMoved
-    bool unanimous = false;
+  /// One reply a round() collected: its sender and the message itself.
+  struct Reply {
+    ProcessId from = 0;
+    MsgPtr msg;
   };
-  using CollectCallback = std::function<void(const std::vector<CollectEntry>&)>;
-  using ReleaseCallback = std::function<void(bool all_held)>;
+  /// Builds a round's request for attempt `seq` of operation `op_id`.
+  using RoundRequest = std::function<MsgPtr(OpId op_id, std::uint32_t seq)>;
+  using RoundDone = std::function<void(const std::vector<Reply>&)>;
 
   /// What an operation is doing (public so EjectedOp can carry it).
   enum class OpKind {
     kRead,
     kWrite,
-    kListKeys,
-    kFreeze,
-    kCommit,
-    kCollect,      ///< snapshot collect round (SnapReq)
-    kInstall,      ///< snapshot write-back: phase-2 write with a preset tag
-    kSnapFreeze,   ///< fenced-fallback round 1 (SnapFreeze)
-    kSnapRelease,  ///< fenced-fallback round 2 (SnapRelease)
+    kInstall,  ///< snapshot write-back: phase-2 write with a preset tag
+    kRound,    ///< one caller-built quorum round (see round())
   };
 
   AbdClient(Env& env, ProcessId self, const SystemConfig& config, Mode mode);
@@ -120,47 +112,19 @@ class AbdClient {
     return write(RegisterKey{}, std::move(value), std::move(cb));
   }
 
-  /// Discovers every register key stored at some weighted quorum. Never
-  /// queued behind keyed operations.
+  /// Discovers every register key stored at some weighted quorum: one
+  /// round() of KeysReq whose result is the union over its replies.
   OpId list_keys(KeysCallback cb);
 
-  // --- elastic resharding (MigrationEngine verbs) --------------------------
-
-  /// Freeze `key` at this group behind map epoch `epoch` and collect the
-  /// final read: cb fires with the max-tag replica of a weighted quorum
-  /// of freeze acks. One-round (no write-back); `dest` is advisory.
-  OpId freeze_key(RegisterKey key, std::uint64_t epoch, ShardId dest,
-                  ReadCallback cb);
-
-  /// Commit "key is owned by `owner` as of `epoch`" at this group; the
-  /// destination-side round carries the frozen replica in `install`. cb
-  /// fires once a weighted quorum acked. One-round (ack collection only).
-  OpId commit_mark(RegisterKey key, ShardId owner, std::uint64_t epoch,
-                   std::optional<TaggedValue> install, WriteCallback cb);
-
-  // --- cross-shard snapshots (ShardRouter::snapshot verbs) -----------------
-
-  /// One snapshot collect round: reads the (tag, value) of every listed
-  /// key from a weighted quorum in a single round trip; cb fires with
-  /// one CollectEntry per key (same order). Never queued behind keyed
-  /// operations, never batched.
-  OpId collect(std::vector<RegisterKey> keys, CollectCallback cb);
-
-  /// Fenced-fallback round 1: fence `keys` under `snap_id` at a weighted
-  /// quorum and return their replicas (same aggregate as collect()). A
-  /// key a responder could not fence (migration fence, foreign snapshot,
-  /// moved) comes back flagged — the caller must abort via
-  /// snap_release() with lift-only entries.
-  OpId snap_freeze(SnapId snap_id, std::vector<RegisterKey> keys,
-                   CollectCallback cb);
-
-  /// Fenced-fallback round 2: installs entries flagged kOk
-  /// tag-monotonically, lifts the named fences, drains parked requests.
-  /// cb fires with all_held = true iff every quorum responder still held
-  /// every named fence under `snap_id` (false => a fence TTL-expired and
-  /// the round must be discarded).
-  OpId snap_release(SnapId snap_id, std::vector<SnapEntry> installs,
-                    ReleaseCallback cb);
+  /// One quorum round: broadcasts request(op_id, seq) to the group. A
+  /// reply carrying a newer change set restarts it under a new seq (like
+  /// every in-flight operation); the retry timer re-sends it under the
+  /// same seq. Once the distinct responders of the current attempt form a
+  /// weighted quorum, done fires once with every reply of that attempt in
+  /// arrival order, duplicates included — the caller folds them. Rounds
+  /// are never batched, never ordered behind keyed operations and never
+  /// redirected.
+  OpId round(RoundRequest request, RoundDone done);
 
   /// Snapshot write-back: a phase-2-only write of a PRESET (tag, value)
   /// (the double-collect confirmation writes back non-unanimous keys).
@@ -185,9 +149,9 @@ class AbdClient {
     WriteCallback wcb;
   };
 
-  /// Removes operation `id` and returns its reissuable state; nullopt when the op is unknown,
-  /// already completed, or not reissuable (kListKeys and the migration
-  /// verbs are never redirected).
+  /// Removes operation `id` and returns its reissuable state; nullopt
+  /// when the op is unknown, already completed, or a round (rounds are
+  /// never redirected).
   std::optional<EjectedOp> eject(OpId id);
 
   /// Re-enqueues an ejected operation on THIS client (the redirect
@@ -196,7 +160,7 @@ class AbdClient {
   /// so the one-op-per-key contract holds across the move.
   OpId resume(EjectedOp op);
 
-  /// Routes R_A / W_A / KEYS_A replies; true iff consumed. Replies whose
+  /// Routes R_A / W_A / KEYS_A / SNAP_A replies; true iff consumed. Replies whose
   /// OpId belongs to no in-flight operation are NOT consumed (they may
   /// target a co-located client sharing this mailbox, or be late acks of
   /// a completed operation).
@@ -253,7 +217,7 @@ class AbdClient {
 
   /// Batched wire mode. `max_ops` <= 1 disables it (the default) — that
   /// path is byte-identical to the pre-batching client. With batching on,
-  /// every phase broadcast is buffered and the buffer is flushed as ONE
+  /// every read/write phase broadcast is buffered and the buffer is flushed as ONE
   /// BatchRequest to the group when it holds `max_ops` frames or
   /// `max_delay` after the first frame was buffered, whichever happens
   /// first (max_delay 0 still defers to a zero-delay callback, so every
@@ -278,33 +242,21 @@ class AbdClient {
     std::uint32_t seq = 0;  // phase-attempt counter echoed in replies
     // Reply accounting is flat vectors, not node-based sets/maps: a
     // replica group is a handful of servers, so membership checks are a
-    // short linear scan over one cache line and collection never
-    // allocates per reply.
-    std::vector<std::pair<ProcessId, TaggedValue>> phase1_replies;
-    std::vector<ProcessId> phase2_acks;
-    TaggedValue to_write;
+    // short linear scan over one cache line and a read/write phase
+    // never allocates per reply.
+    /// Distinct responders of the current attempt, in arrival order.
+    std::vector<ProcessId> responders;
+    /// Phase 1: each responder's last reply, index-aligned with responders.
+    std::vector<TaggedValue> phase1_replies;
+    TaggedValue to_write;  // also a read's result once phase 1 closed
     bool write_tag_chosen = false;
     ReadCallback rcb;
     WriteCallback wcb;
-    KeysCallback kcb;
-    TaggedValue read_result;
-    std::vector<ProcessId> keys_acks;
-    std::set<RegisterKey> keys_acc;
     std::uint32_t op_restarts = 0;
-    // Migration verbs (kFreeze/kCommit) only.
-    std::uint64_t mig_epoch = 0;
-    ShardId mig_owner = 0;  ///< freeze: advisory dest; commit: new owner
-    std::optional<TaggedValue> mig_install;
-    // Snapshot verbs (kCollect/kSnapFreeze/kSnapRelease) only.
-    std::vector<RegisterKey> snap_keys;
-    SnapId snap_id = 0;
-    std::vector<SnapEntry> snap_installs;
-    /// Last SnapAck entry vector per responder (dedupe by pid, last
-    /// wins — mirrors phase1_replies); keys_acks tracks the pids.
-    std::vector<std::pair<ProcessId, std::vector<SnapEntry>>> snap_replies;
-    bool snap_all_held = true;
-    CollectCallback ccb;
-    ReleaseCallback relcb;
+    // kRound only.
+    RoundRequest request;
+    RoundDone done;
+    std::vector<Reply> replies;  ///< the current attempt's, in arrival order
   };
 
   /// One buffered phase broadcast awaiting the next envelope flush. The
@@ -317,7 +269,6 @@ class AbdClient {
   };
 
   OpId enqueue(Op op);
-  std::vector<CollectEntry> aggregate_snap(const Op& op) const;
   void start_phase1(Op& op);
   void start_phase2(Op& op);
   void broadcast_phase(const Op& op);
@@ -325,10 +276,10 @@ class AbdClient {
   void flush_batch();
   void schedule_retry(OpId id, std::uint32_t seq);
   void complete(OpId id);
+  template <typename Ack>
+  bool on_reply(ProcessId from, const Ack& ack);
   bool merge_and_maybe_restart(const ChangeSetPtr& incoming);
   bool responders_form_quorum(const std::vector<ProcessId>& responders) const;
-  bool responders_form_quorum(
-      const std::vector<std::pair<ProcessId, TaggedValue>>& replies) const;
   static OpId fresh_op_id();
 
   Env& env_;

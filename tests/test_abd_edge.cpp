@@ -3,7 +3,9 @@
 // register rules.
 #include <gtest/gtest.h>
 
+#include "runtime/msg_pool.h"
 #include "storage/abd_server.h"
+#include "storage/snapshot_messages.h"
 #include "test_util.h"
 
 namespace wrs {
@@ -93,6 +95,58 @@ TEST(AbdClient, ForeignAndStaleAcksIgnored) {
   EXPECT_TRUE(client.handle(0, stale));
   EXPECT_FALSE(fired);
   EXPECT_TRUE(client.busy());
+}
+
+TEST(AbdClient, RoundFoldsEveryReplyOfTheAttempt) {
+  // round() closes on the distinct responders of its attempt, but hands
+  // `done` every reply in arrival order, duplicates included: the caller
+  // folds them (a release's "all held", list_keys' union).
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  AbdClient client(env, client_id(0), SystemConfig::uniform(3, 1),
+                   AbdClient::Mode::kStatic);
+
+  std::vector<AbdClient::Reply> got;
+  OpId rel = client.round(
+      [](OpId id, std::uint32_t seq) {
+        return make_msg<SnapRelease>(id, /*snap_id=*/1,
+                                     std::vector<SnapEntry>{}, seq);
+      },
+      [&](const std::vector<AbdClient::Reply>& replies) { got = replies; });
+  auto held = [&](bool h) {
+    return SnapAck(rel, {}, nullptr, /*seq=*/1, h);
+  };
+  // (a) Two replies from one server are one responder: no quorum of 2.
+  EXPECT_TRUE(client.handle(0, held(false)));
+  EXPECT_TRUE(client.handle(0, held(true)));
+  EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(client.busy());
+  EXPECT_TRUE(client.handle(1, held(true)));
+  EXPECT_FALSE(client.busy());
+  EXPECT_EQ(got.size(), 3u);
+  // (b) The duplicate reached `done`, so one `held=false` still poisons
+  // the release fold although server 0 answered again with true.
+  bool all_held = true;
+  for (const AbdClient::Reply& r : got) {
+    if (!msg_cast<SnapAck>(*r.msg)->held()) all_held = false;
+  }
+  EXPECT_FALSE(all_held);
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.front().from, 0u);
+  EXPECT_EQ(got.back().from, 1u);
+
+  // (c) list_keys folds the union over every reply of the attempt.
+  std::vector<RegisterKey> keys;
+  bool listed = false;
+  OpId list = client.list_keys([&](const std::vector<RegisterKey>& k) {
+    keys = k;
+    listed = true;
+  });
+  EXPECT_TRUE(client.handle(0, KeysAck(list, {"a"}, nullptr, 1)));
+  EXPECT_TRUE(client.handle(0, KeysAck(list, {"b"}, nullptr, 1)));
+  EXPECT_FALSE(listed);
+  EXPECT_TRUE(client.handle(2, KeysAck(list, {"c"}, nullptr, 1)));
+  ASSERT_TRUE(listed);
+  EXPECT_EQ(keys, (std::vector<RegisterKey>{"a", "b", "c"}));
 }
 
 TEST(AbdClient, DebugBuildsAssertOneReadWritePerKey) {

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "api/cluster.h"
-#include "runtime/sync.h"
 #include "storage/history.h"
 #include "testing/nemesis.h"
 
@@ -127,14 +126,11 @@ void expect_migrate_moves_data(Runtime rt) {
       mark = c.storage_node(s).server().route_mark(key);
     } else {
       auto probe = [&] {
-        // shared_ptr: the worker's set() may still be inside notify_all
-        // when wait_for returns, so the task must co-own the Waiter.
-        auto w =
-            std::make_shared<Waiter<std::optional<AbdServer::RouteMark>>>();
-        c.env().schedule(s, 0, [&, w] {
-          w->set(c.storage_node(s).server().route_mark(key));
+        Await<std::optional<AbdServer::RouteMark>> mark;
+        c.env().schedule(s, 0, [&, mark] {
+          mark.fulfill(c.storage_node(s).server().route_mark(key));
         });
-        return w->wait_for(seconds(5)).value_or(std::nullopt);
+        return mark.try_get(seconds(5)).value_or(std::nullopt);
       };
       mark = probe();
       for (int spin = 0; spin < 2000 && !(mark && mark->committed);

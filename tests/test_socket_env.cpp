@@ -173,7 +173,6 @@ TEST(SocketMultiEnv, PartitionTearsDownRealConnections) {
 
   SocketEnv::Options so;
   so.listen = net::SocketAddr::parse("tcp:127.0.0.1:0");
-  so.loopback_self = true;
   SocketEnv server_env(so);
   std::vector<std::unique_ptr<DynamicStorageNode>> nodes;
   for (ProcessId s : cfg.servers()) {
@@ -222,7 +221,6 @@ TEST(SocketMultiEnv, UnixDomainTransport) {
 
   SocketEnv::Options so;
   so.listen = net::SocketAddr::parse("unix:" + path);
-  so.loopback_self = true;
   SocketEnv server_env(so);
   std::vector<std::unique_ptr<DynamicStorageNode>> nodes;
   for (ProcessId s : cfg.servers()) {

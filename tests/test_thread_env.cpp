@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/sync.h"
+#include "api/await.h"
 
 namespace wrs {
 namespace {
@@ -94,10 +94,10 @@ TEST(ThreadEnv, ScheduleFiresAfterDelay) {
   CountingProcess a;
   env.register_process(0, &a);
   env.start();
-  Waiter<TimeNs> waiter;
+  Await<TimeNs> fired;
   TimeNs before = env.now();
-  env.schedule(0, ms(20), [&] { waiter.set(env.now()); });
-  auto fired_at = waiter.wait_for(seconds(5));
+  env.schedule(0, ms(20), [&env, fired] { fired.fulfill(env.now()); });
+  auto fired_at = fired.try_get(seconds(5));
   env.stop();
   ASSERT_TRUE(fired_at.has_value());
   EXPECT_GE(*fired_at - before, ms(15));  // allow scheduler slop downward
