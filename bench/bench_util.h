@@ -1,8 +1,8 @@
 // Shared helpers for the experiment harnesses in bench/.
 //
-// Each binary reproduces one experiment from DESIGN.md §4 / EXPERIMENTS.md
-// and prints paper-style tables to stdout. All runs are seeded and
-// deterministic.
+// Each binary reproduces one experiment, whose EXP-* id and the paper
+// claim it tests open the binary's header comment, and prints
+// paper-style tables to stdout. All runs are seeded and deterministic.
 #pragma once
 
 #include <cmath>
@@ -102,16 +102,6 @@ class JsonReport {
     quoted += '"';
     rows_.back().emplace_back(name, std::move(quoted));
     return *this;
-  }
-
-  /// Value of a numeric field on the most recently opened row (0 when
-  /// absent) — lets a sweep echo a row field into its console table.
-  double last_field(const std::string& name) const {
-    if (rows_.empty()) return 0;
-    for (const auto& [n, v] : rows_.back()) {
-      if (n == name) return std::strtod(v.c_str(), nullptr);
-    }
-    return 0;
   }
 
   /// Appends this experiment's object to `path` (one JSON object per

@@ -2,7 +2,7 @@
 // Algorithm 4 (transfer) plus the server part of Algorithm 3
 // (read_changes service).
 //
-// Faithfulness notes (deviations recorded in DESIGN.md §2):
+// Faithfulness notes (each deviation from the paper, with its reason):
 //  * transfer() checks C2 locally: weight() > delta + W_{S,0}/(2(n-f));
 //    effective transfers store both changes locally, reliably broadcast
 //    <T, c, c'>, and complete after T_Acks from n-f-1 *other* servers.

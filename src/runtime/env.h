@@ -76,8 +76,8 @@ class Env {
   /// Message traffic counters ("msgs", "bytes", per-type counts).
   virtual const Counters& traffic() const = 0;
 
-  /// Bumps a well-known ledger slot from protocol code (e.g. the ABD
-  /// read fast path counting "reads.fast_path"). Lock-free on every
+  /// Bumps a well-known ledger slot from protocol code (e.g. AbdClient
+  /// counting one-round reads as "reads.fast_path"). Lock-free on every
   /// runtime; the default is a no-op for minimal test doubles.
   virtual void count_event(TrafficLedger::Slot /*slot*/,
                            std::int64_t /*by*/ = 1) {}

@@ -42,9 +42,9 @@ class TrafficLedger {
     kMsgsUnroutable,
     kMsgsMalformed,
     kMsgsNoHandler,
-    /// Reads completed in one round (AbdClient fast path: the phase-1
-    /// quorum unanimously reported the max tag, so the write-back was
-    /// provably redundant and skipped).
+    /// Reads completed in one round (AbdClient: the phase-1 responders
+    /// holding the max tag already formed a weighted quorum, so the
+    /// write-back was skipped).
     kReadsFastPath,
     kSlotCount,
   };

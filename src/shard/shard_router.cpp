@@ -478,16 +478,6 @@ void ShardRouter::set_retry_interval(TimeNs interval) {
   for (const auto& c : clients_) c->set_retry_interval(interval);
 }
 
-void ShardRouter::set_read_fast_path(bool on) {
-  for (const auto& c : clients_) c->set_read_fast_path(on);
-}
-
-std::uint64_t ShardRouter::fast_path_reads() const {
-  std::uint64_t sum = 0;
-  for (const auto& c : clients_) sum += c->fast_path_reads();
-  return sum;
-}
-
 void ShardRouter::set_batching(std::size_t max_ops, TimeNs max_delay) {
   for (const auto& c : clients_) c->set_batching(max_ops, max_delay);
 }

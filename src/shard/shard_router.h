@@ -138,11 +138,6 @@ class ShardRouter {
   static constexpr std::uint32_t kSnapMaxCollectRounds = 6;
 
   void set_retry_interval(TimeNs interval);
-  /// One-round read fast path on every inner client (see
-  /// AbdClient::set_read_fast_path).
-  void set_read_fast_path(bool on);
-  /// Reads completed in one round across all inner clients.
-  std::uint64_t fast_path_reads() const;
   /// Batched wire mode on every inner client. Batching is inherently
   /// same-shard: each inner client only ever talks to its own group, so
   /// coalescing its buffered phase broadcasts can never mix shards.

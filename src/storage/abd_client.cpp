@@ -143,6 +143,9 @@ OpId AbdClient::enqueue(Op op) {
 }
 
 void AbdClient::start_phase1(Op& op) {
+  op.phase1_replies.clear();
+  op.responders.clear();
+  op.replies.clear();
   if (op.kind == OpKind::kInstall) {
     // A snapshot install of a preset tag only collects WriteAcks: every
     // (re)start — including change-set restarts — re-runs the ack phase.
@@ -151,17 +154,15 @@ void AbdClient::start_phase1(Op& op) {
   }
   op.phase = 1;
   ++op.seq;
-  op.phase1_replies.clear();
-  op.responders.clear();
-  op.replies.clear();
   broadcast_phase(op);
   schedule_retry(op.id, op.seq);
 }
 
 void AbdClient::start_phase2(Op& op) {
+  // op.responders already lists the servers known to store op.to_write:
+  // none for a write or an install, the phase-1 holders for a read.
   op.phase = 2;
   ++op.seq;
-  op.responders.clear();
   broadcast_phase(op);
   schedule_retry(op.id, op.seq);
 }
@@ -360,20 +361,22 @@ bool AbdClient::on_reply(ProcessId from, const Ack& ack) {
   }
   if (op.kind == OpKind::kRead) {
     op.to_write = maxreg;  // the result, and the write-back's payload
-    if (read_fast_path_) {
-      // If EVERY quorum responder already reported the max tag, the
-      // value is provably stored at a weighted quorum and the
-      // write-back is redundant: any later read's quorum intersects
-      // this one and sees a tag >= maxreg.tag. Complete in one round.
-      bool unanimous = std::all_of(
-          op.phase1_replies.begin(), op.phase1_replies.end(),
-          [&](const TaggedValue& reg) { return reg.tag == maxreg.tag; });
-      if (unanimous) {
-        ++fast_path_reads_;
-        env_.count_event(TrafficLedger::kReadsFastPath);
-        complete(op.id);
-        return true;
+    // The holders — responders whose reply carried the max tag — already
+    // store it (server tags only grow), exactly as a W_A for it would
+    // prove, and under the same change set: any merge restarts the op
+    // from phase 1. So they count toward the write-back's quorum, and
+    // when they alone form one the write-back is skipped.
+    std::size_t holders = 0;
+    for (std::size_t i = 0; i < op.responders.size(); ++i) {
+      if (op.phase1_replies[i].tag == maxreg.tag) {
+        op.responders[holders++] = op.responders[i];
       }
+    }
+    op.responders.resize(holders);
+    if (responders_form_quorum(op.responders)) {
+      env_.count_event(TrafficLedger::kReadsFastPath);
+      complete(op.id);
+      return true;
     }
   } else {
     // Choose the write's tag exactly once, even across change-set
@@ -387,6 +390,7 @@ bool AbdClient::on_reply(ProcessId from, const Ack& ack) {
       op.write_tag_chosen = true;
     }
     op.to_write.value = op.value;
+    op.responders.clear();
   }
   start_phase2(op);
   return true;

@@ -9,6 +9,18 @@
 //            value with tag (max_ts+1, pid) for writes); collect <W_A>
 //            until a weighted quorum acked.
 //
+// One-round reads: a read's phase 2 starts with the *holders* already
+// counted — the phase-1 responders whose reply carried the max tag — and
+// when the holders alone form a weighted quorum the read completes
+// without a write-back (counted as "reads.fast_path" in the env ledger).
+// Safe because a server's tag for a key only grows: a phase-1 reply with
+// tag t proves the server stores a tag >= t, which is all a W_A for t
+// proves. Both proofs are counted under the same change set, since a
+// merge restarts the op from phase 1 and drops every responder. So the
+// value read is stored at a weighted quorum when the read returns, and
+// every later read's quorum intersects it (no new/old inversion; Dutta
+// et al., "How fast can a distributed atomic read be?", PODC '04).
+//
 // Pipelining (beyond the paper's sequential client): many operations may
 // be in flight at once, each an independent state machine keyed by its
 // OpId in the request/reply messages. Nothing in the protocol requires
@@ -29,9 +41,12 @@
 // RESTARTS every in-flight operation from phase 1 (Algorithm 5 lines
 // 14-16/30-32 — the change set is client-level state, so all in-flight
 // quorum accounting predates the merge, not just the op whose reply
-// carried the news). Deviations from the paper's literal pseudocode
-// (rationale in DESIGN.md §2): newer sets are MERGED rather than adopted
-// verbatim, and a write keeps its once-chosen tag across restarts.
+// carried the news). Two deviations from the paper's literal pseudocode:
+// newer sets are MERGED rather than adopted verbatim, since change sets
+// form a join-semilattice and a reply from a lagging server must not
+// erase changes the client already learned; and a write keeps its
+// once-chosen tag across restarts, since re-tagging the same value would
+// leave ghost tags on servers an earlier phase 2 partially reached.
 //
 // Multi-register extension (beyond the paper): registers are named; the
 // paper's register is key "". list_keys() discovers every key any
@@ -200,21 +215,6 @@ class AbdClient {
   /// Phase broadcasts re-sent by the retry timer (observability/tests).
   std::uint64_t retransmits() const { return retransmits_; }
 
-  /// One-round read fast path (off by default). When every phase-1
-  /// quorum reply reports the max tag, that (tag, value) is already
-  /// stored at a weighted quorum — the one the replies came from — so
-  /// the write-back round re-installs what quorum intersection already
-  /// guarantees every future read will see. With the fast path on, such
-  /// reads complete after one round (halving msgs/op on read-heavy,
-  /// contention-free workloads) and are counted as "reads.fast_path" in
-  /// the env ledger. Off by default to keep the classical two-round
-  /// message pattern byte-for-byte for pinned traffic tests.
-  void set_read_fast_path(bool on) { read_fast_path_ = on; }
-  bool read_fast_path() const { return read_fast_path_; }
-
-  /// Reads completed via the one-round fast path (observability/tests).
-  std::uint64_t fast_path_reads() const { return fast_path_reads_; }
-
   /// Batched wire mode. `max_ops` <= 1 disables it (the default) — that
   /// path is byte-identical to the pre-batching client. With batching on,
   /// every read/write phase broadcast is buffered and the buffer is flushed as ONE
@@ -244,7 +244,8 @@ class AbdClient {
     // replica group is a handful of servers, so membership checks are a
     // short linear scan over one cache line and a read/write phase
     // never allocates per reply.
-    /// Distinct responders of the current attempt, in arrival order.
+    /// Distinct responders of the current attempt, in arrival order; a
+    /// read's phase 2 starts with its phase-1 holders.
     std::vector<ProcessId> responders;
     /// Phase 1: each responder's last reply, index-aligned with responders.
     std::vector<TaggedValue> phase1_replies;
@@ -302,8 +303,6 @@ class AbdClient {
   std::uint32_t max_restarts_ = 10'000;
   TimeNs retry_interval_ = 0;
   std::uint64_t retransmits_ = 0;
-  bool read_fast_path_ = false;
-  std::uint64_t fast_path_reads_ = 0;
 
   // --- batched wire mode ---------------------------------------------------
   std::size_t batch_max_ops_ = 1;  // <= 1: unbatched (byte-identical)

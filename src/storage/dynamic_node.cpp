@@ -59,8 +59,8 @@ void DynamicStorageNode::refresh_keys(std::vector<RegisterKey> keys,
   for (const RegisterKey& key : keys) {
     refresh_client_.read(key, [this, key, remaining,
                                when_done](const TaggedValue& tv) {
-      // Install the fresh value locally (the ABD read's write-back
-      // already pushed it to a quorum; this keeps our own replica
+      // Install the fresh value locally (the ABD read returned only once
+      // the value was stored at a quorum; this keeps our own replica
       // current too).
       if (server_.reg(key).tag < tv.tag) server_.set_reg(tv, key);
       if (--*remaining == 0) {

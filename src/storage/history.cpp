@@ -5,83 +5,87 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 namespace wrs {
 
 std::size_t HistoryRecorder::begin(OpRecord::Kind kind, ProcessId process,
                                    TimeNs start, RegisterKey key) {
   std::lock_guard lock(mu_);
-  Slot slot;
-  slot.rec.kind = kind;
-  slot.rec.process = process;
-  slot.rec.key = std::move(key);
-  slot.rec.start = start;
-  slots_.push_back(std::move(slot));
-  return slots_.size() - 1;
+  OpRecord& rec = open_[next_token_];
+  rec.kind = kind;
+  rec.process = process;
+  rec.key = std::move(key);
+  rec.start = start;
+  return next_token_++;
+}
+
+OpRecord HistoryRecorder::take_open(std::size_t token) {
+  auto it = open_.find(token);
+  if (it == open_.end()) {
+    throw std::out_of_range("HistoryRecorder: unknown or closed token");
+  }
+  OpRecord rec = std::move(it->second);
+  open_.erase(it);
+  return rec;
 }
 
 void HistoryRecorder::end_read(std::size_t token, TimeNs end,
                                const TaggedValue& result) {
   std::lock_guard lock(mu_);
-  Slot& s = slots_.at(token);
-  s.rec.end = end;
-  s.rec.tag = result.tag;
-  s.rec.value = result.value;
-  s.done = true;
+  OpRecord rec = take_open(token);
+  rec.end = end;
+  rec.tag = result.tag;
+  rec.value = result.value;
+  completed_.push_back(std::move(rec));
 }
 
 void HistoryRecorder::end_write(std::size_t token, TimeNs end, const Tag& tag,
                                 const Value& value) {
   std::lock_guard lock(mu_);
-  Slot& s = slots_.at(token);
-  s.rec.end = end;
-  s.rec.tag = tag;
-  s.rec.value = value;
-  s.done = true;
+  OpRecord rec = take_open(token);
+  rec.end = end;
+  rec.tag = tag;
+  rec.value = value;
+  completed_.push_back(std::move(rec));
 }
 
 std::size_t HistoryRecorder::begin_snapshot(ProcessId process, TimeNs start) {
   std::lock_guard lock(mu_);
-  // The placeholder slot carries the snapshot's identity and start; it
-  // stays !done forever (end_snapshot appends one completed record per
-  // cut key instead), so completed() never surfaces it.
-  Slot slot;
-  slot.rec.kind = OpRecord::Kind::kRead;
-  slot.rec.process = process;
-  slot.rec.start = start;
-  slot.rec.snap_id = ++next_snap_id_;
-  slots_.push_back(std::move(slot));
-  return slots_.size() - 1;
+  // The open record carries the snapshot's identity and start;
+  // end_snapshot completes one copy of it per cut key.
+  OpRecord& rec = open_[next_token_];
+  rec.kind = OpRecord::Kind::kRead;
+  rec.process = process;
+  rec.start = start;
+  rec.snap_id = ++next_snap_id_;
+  return next_token_++;
 }
 
 void HistoryRecorder::end_snapshot(
     std::size_t token, TimeNs end,
     const std::vector<std::pair<RegisterKey, TaggedValue>>& cut) {
   std::lock_guard lock(mu_);
-  OpRecord tmpl = slots_.at(token).rec;  // copied: push_back may realloc
+  const OpRecord tmpl = take_open(token);
   for (const auto& [key, reg] : cut) {
-    Slot slot;
-    slot.rec = tmpl;
-    slot.rec.key = key;
-    slot.rec.end = end;
-    slot.rec.tag = reg.tag;
-    slot.rec.value = reg.value;
-    slot.done = true;
-    slots_.push_back(std::move(slot));
+    OpRecord& rec = completed_.emplace_back(tmpl);
+    rec.key = key;
+    rec.end = end;
+    rec.tag = reg.tag;
+    rec.value = reg.value;
   }
 }
 
-std::vector<OpRecord> HistoryRecorder::completed() const {
+const std::vector<OpRecord>& HistoryRecorder::completed() const {
+  // The lock orders this read after every close made so far; the
+  // contract (recording has stopped) keeps later closes out.
   std::lock_guard lock(mu_);
-  std::vector<OpRecord> out;
-  for (const auto& s : slots_) {
-    if (s.done) out.push_back(s.rec);
-  }
-  return out;
+  return completed_;
 }
 
 std::size_t HistoryRecorder::completed_count() const {
-  return completed().size();
+  std::lock_guard lock(mu_);
+  return completed_.size();
 }
 
 namespace {

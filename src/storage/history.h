@@ -12,7 +12,9 @@
 //  (A4) write tags are unique and strictly increase per writer.
 //
 // These conditions are exactly atomicity for tag-ordered registers where
-// phase-2 write-backs ensure reads are linearized at tag order.
+// a read returns only a tag already stored at a weighted quorum (by its
+// write-back, or by servers that held it), so reads linearize at tag
+// order.
 //
 // Snapshots (ShardRouter::snapshot) record one read-like entry per cut
 // key, all sharing the snapshot's [start, end] interval and a unique
@@ -33,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -56,10 +59,13 @@ struct OpRecord {
 };
 
 /// Internally synchronized: on the thread runtime the recording clients
-/// run on different worker threads.
+/// run on different worker threads. An op is held by token while open and
+/// moved into the completed list when it ends, so a long run keeps one
+/// copy of each record.
 class HistoryRecorder {
  public:
-  /// Begins an operation; returns a token to close it with.
+  /// Begins an operation; returns a token to close it with. Closing an
+  /// unknown (or already closed) token throws std::out_of_range.
   std::size_t begin(OpRecord::Kind kind, ProcessId process, TimeNs start,
                     RegisterKey key = {});
   void end_read(std::size_t token, TimeNs end, const TaggedValue& result);
@@ -76,19 +82,23 @@ class HistoryRecorder {
   void end_snapshot(std::size_t token, TimeNs end,
                     const std::vector<std::pair<RegisterKey, TaggedValue>>& cut);
 
-  /// Completed records only (unfinished ops are ignored by the checker —
-  /// crashes may legitimately leave them open).
-  std::vector<OpRecord> completed() const;
+  /// Completed records only, in completion order (unfinished ops are
+  /// ignored by the checker — crashes may legitimately leave them open).
+  /// Call it after recording stops: the reference is read without the
+  /// lock, so no client may still be closing ops.
+  const std::vector<OpRecord>& completed() const;
 
+  /// Safe to poll while clients are still recording.
   std::size_t completed_count() const;
 
  private:
-  struct Slot {
-    OpRecord rec;
-    bool done = false;
-  };
+  /// Removes and returns open op `token`; the caller holds mu_.
+  OpRecord take_open(std::size_t token);
+
   mutable std::mutex mu_;
-  std::vector<Slot> slots_;
+  std::unordered_map<std::size_t, OpRecord> open_;
+  std::vector<OpRecord> completed_;
+  std::size_t next_token_ = 0;
   std::uint64_t next_snap_id_ = 0;
 };
 

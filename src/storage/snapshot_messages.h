@@ -5,7 +5,7 @@
 //
 //   Fast path — double collect. One SnapReq per involved shard asks a
 //   quorum for the (tag, value) of every requested key in a single
-//   round (the multi-key analogue of the one-round read fast path); the
+//   round (the multi-key analogue of a one-round read); the
 //   client keeps the per-key max tag plus a unanimity bit. Two
 //   consecutive collects observing the SAME tag for every key form a
 //   consistent cut (any interfering write would have bumped a tag —

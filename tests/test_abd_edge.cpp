@@ -1,10 +1,11 @@
 // Edge-case tests for the ABD client/server machinery: stale replies,
-// restart budgets, weight views, write-back freshness, and the server
-// register rules.
+// restart budgets, weight views, write-back freshness, one-round reads,
+// and the server register rules.
 #include <gtest/gtest.h>
 
 #include "runtime/msg_pool.h"
 #include "storage/abd_server.h"
+#include "storage/history.h"
 #include "storage/snapshot_messages.h"
 #include "test_util.h"
 
@@ -221,6 +222,187 @@ TEST(AbdClient, WritebackMakesSecondReadFastPath) {
   run_until(*c.env, [&] { return r2.has_value(); });
   EXPECT_EQ(r1->value, "wb");
   EXPECT_FALSE(r2->tag < r1->tag);
+}
+
+/// n static AbdServers plus AbdClients on a SimEnv with 1 ms links and
+/// nothing else running, so the traffic ledger counts exactly the
+/// protocol's messages.
+struct AbdGroup {
+  struct Server : Process {
+    Server(Env& env, ProcessId id) : abd(env, id, nullptr) {}
+    void on_message(ProcessId from, const Message& m) override {
+      abd.handle(from, m);
+    }
+    AbdServer abd;
+  };
+  struct Client : Process {
+    Client(Env& env, ProcessId id, const SystemConfig& config)
+        : abd(env, id, config, AbdClient::Mode::kStatic) {}
+    void on_message(ProcessId from, const Message& m) override {
+      abd.handle(from, m);
+    }
+    AbdClient abd;
+  };
+
+  SimEnv env{std::make_shared<ConstantLatency>(ms(1)), 1};
+  SystemConfig config;
+  std::vector<std::unique_ptr<Server>> servers;
+  std::vector<std::unique_ptr<Client>> clients;
+
+  AbdGroup(std::uint32_t n, std::size_t num_clients)
+      : config(SystemConfig::uniform(n, (n - 1) / 2)) {
+    for (ProcessId s = 0; s < n; ++s) {
+      servers.push_back(std::make_unique<Server>(env, s));
+      env.register_process(s, servers.back().get());
+    }
+    for (std::size_t k = 0; k < num_clients; ++k) {
+      clients.push_back(std::make_unique<Client>(env, client_id(k), config));
+      env.register_process(client_id(k), clients.back().get());
+    }
+    env.start();
+  }
+
+  AbdClient& client(std::size_t k) { return clients[k]->abd; }
+  std::int64_t sent(const std::string& type) {
+    return env.traffic().get("msg." + type);
+  }
+
+  /// Runs one read of `key` by client k to completion, recorded.
+  TaggedValue read(std::size_t k, const RegisterKey& key,
+                   HistoryRecorder& history) {
+    std::size_t token =
+        history.begin(OpRecord::Kind::kRead, client_id(k), env.now(), key);
+    std::optional<TaggedValue> got;
+    client(k).read(key, [&](const TaggedValue& tv) { got = tv; });
+    test::run_until(env, [&] { return got.has_value(); });
+    history.end_read(token, env.now(), got.value_or(TaggedValue{}));
+    return got.value_or(TaggedValue{});
+  }
+};
+
+TEST(AbdClient, ReadCompletesOnlyOnceItsValueIsAtAQuorum) {
+  // New/old inversion: a write's phase 2 reached server 0 alone. Read r1
+  // sees it in a {0, 1} quorum, where server 0 is the only holder, so r1
+  // must write it back before returning. A later read r2 whose quorum
+  // {1, 2} excludes server 0 must still see it. A read that counted
+  // every phase-1 responder toward its write-back would return r1 at
+  // once and let r2 read the initial value.
+  AbdGroup g(3, 2);  // weighted quorum: any 2 of the 3 servers
+  HistoryRecorder history;
+  const ProcessId writer = client_id(7);  // driven by hand: no process
+  const TaggedValue written{Tag{1, writer}, "new"};
+  std::size_t w =
+      history.begin(OpRecord::Kind::kWrite, writer, g.env.now(), "x");
+  g.env.send(writer, 0, make_msg<WriteReq>(1, written, "x"));
+  g.env.run_until(g.env.now() + ms(5));
+
+  g.env.hold_messages(2);
+  TaggedValue r1 = g.read(0, "x", history);
+  EXPECT_EQ(r1.tag, written.tag);
+  g.env.run_until(g.env.now() + ms(5));  // r2 starts strictly after r1
+
+  g.env.hold_messages(0);
+  g.env.release_holds(2);
+  TaggedValue r2 = g.read(1, "x", history);
+  EXPECT_EQ(r2.tag, written.tag);
+
+  // The writer's phase 2 finally reaches the others: the write completes.
+  g.env.release_holds(0);
+  for (ProcessId s : {1u, 2u}) {
+    g.env.send(writer, s, make_msg<WriteReq>(1, written, "x"));
+  }
+  g.env.run_to_quiescence();
+  history.end_write(w, g.env.now(), written.tag, written.value);
+
+  auto err = check_atomicity(history.completed());
+  EXPECT_FALSE(err.has_value()) << *err;
+}
+
+TEST(AbdClient, UnanimousReadSkipsItsWriteBack) {
+  // Fault-free, every server holds the last write: the phase-1 quorum
+  // is all holders, so the read costs n R + n R_A and no W.
+  constexpr std::uint32_t kN = 5;
+  AbdGroup g(kN, 1);
+  bool wrote = false;
+  g.client(0).write("k", "v", [&](const Tag&) { wrote = true; });
+  test::run_until(g.env, [&] { return wrote; });
+  g.env.run_to_quiescence();
+
+  const std::int64_t msgs = g.env.traffic().get("msgs");
+  const std::int64_t writes = g.sent("W");
+  HistoryRecorder history;
+  TaggedValue got = g.read(0, "k", history);
+  g.env.run_to_quiescence();
+  EXPECT_EQ(got.value, "v");
+  EXPECT_EQ(g.env.traffic().get("msgs") - msgs, 2 * kN);
+  EXPECT_EQ(g.sent("W"), writes);
+  EXPECT_EQ(g.env.traffic().get("reads.fast_path"), 1);
+}
+
+TEST(AbdClient, WriteBackClosesOnFirstAckThatCompletesAQuorumWithHolders) {
+  // n = 5, quorum 3. Phase 1 closes on {0, 1, 2} with only 0 and 1
+  // holding the max tag. The write-back starts with those two counted:
+  // a holder's own W_A adds nothing, and the first W_A from another
+  // server closes the read.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  AbdClient client(env, client_id(0), SystemConfig::uniform(5, 2),
+                   AbdClient::Mode::kStatic);
+  std::optional<TaggedValue> got;
+  OpId op = client.read("k", [&](const TaggedValue& tv) { got = tv; });
+  const TaggedValue newest{Tag{4, 9}, "v4"};
+  const TaggedValue older{Tag{3, 9}, "v3"};
+  client.handle(0, ReadAck(op, newest, nullptr, /*seq=*/1));
+  client.handle(1, ReadAck(op, newest, nullptr, 1));
+  client.handle(2, ReadAck(op, older, nullptr, 1));
+  EXPECT_FALSE(got.has_value()) << "two holders are no quorum of five";
+  EXPECT_EQ(env.traffic().get("msg.W"), 5);
+
+  client.handle(1, WriteAck(op, nullptr, /*seq=*/2));
+  EXPECT_FALSE(got.has_value()) << "a holder's W_A counted twice";
+  client.handle(3, WriteAck(op, nullptr, 2));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tag, newest.tag);
+  EXPECT_EQ(got->value, newest.value);
+  EXPECT_EQ(env.traffic().get("reads.fast_path"), 0);
+}
+
+TEST(AbdClient, RestartDuringSeededWriteBackRerunsPhaseOne) {
+  // The holders were counted under the change set of their phase 1. A
+  // W_A carrying a newer set restarts the read from phase 1, with no
+  // responder kept: a late W_A of the old attempt closes nothing, and
+  // the read needs a fresh phase-1 quorum under the new weights.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(5, 2);
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  std::optional<TaggedValue> got;
+  OpId op = client.read("k", [&](const TaggedValue& tv) { got = tv; });
+  const TaggedValue newest{Tag{4, 9}, "v4"};
+  const TaggedValue older{Tag{3, 9}, "v3"};
+  client.handle(0, ReadAck(op, newest, nullptr, 1));
+  client.handle(1, ReadAck(op, newest, nullptr, 1));
+  client.handle(2, ReadAck(op, older, nullptr, 1));
+  ASSERT_FALSE(got.has_value());
+
+  // Server 0 moved 1/8 of its weight to server 1.
+  ChangeSet moved = ChangeSet::initial(cfg.initial_weights);
+  moved.add(Change(0, kFirstCounter, 0, Weight(-1, 8)));
+  moved.add(Change(0, kFirstCounter, 1, Weight(1, 8)));
+  auto newer = std::make_shared<const ChangeSet>(moved);
+  client.handle(3, WriteAck(op, newer, /*seq=*/2));
+  EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_EQ(env.traffic().get("msg.R"), 10) << "phase 1 was not re-run";
+  client.handle(4, WriteAck(op, nullptr, 2));
+  EXPECT_FALSE(got.has_value()) << "an old attempt's W_A closed the read";
+
+  // Phase 1 again (seq 3): servers 0 and 1 weigh 7/8 + 9/8 = 2 < 5/2.
+  client.handle(0, ReadAck(op, newest, newer, 3));
+  client.handle(1, ReadAck(op, newest, newer, 3));
+  EXPECT_FALSE(got.has_value());
+  client.handle(2, ReadAck(op, newest, newer, 3));
+  ASSERT_TRUE(got.has_value()) << "three holders are a quorum";
+  EXPECT_EQ(got->tag, newest.tag);
+  EXPECT_EQ(env.traffic().get("msg.W"), 5) << "the one write-back sent";
+  EXPECT_EQ(env.traffic().get("reads.fast_path"), 1);
 }
 
 TEST(AbdClient, LargeValuesRoundTrip) {

@@ -220,7 +220,10 @@ TEST(HistoryRecorder, TracksCompletionsOnly) {
   ASSERT_EQ(completed.size(), 1u);
   EXPECT_EQ(completed[0].kind, OpRecord::Kind::kWrite);
   EXPECT_EQ(completed[0].value, "a");
-  (void)t2;
+  // A closed token, or one never handed out, is a caller bug.
+  EXPECT_THROW(rec.end_write(t1, 11, Tag{1, 1}, "a"), std::out_of_range);
+  EXPECT_THROW(rec.end_read(t2 + 1, 12, TaggedValue{}), std::out_of_range);
+  EXPECT_EQ(rec.completed_count(), 1u);
 }
 
 }  // namespace
