@@ -146,9 +146,12 @@ void AbdClient::start_phase1(Op& op) {
   op.phase1_replies.clear();
   op.responders.clear();
   op.replies.clear();
-  if (op.kind == OpKind::kInstall) {
-    // A snapshot install of a preset tag only collects WriteAcks: every
-    // (re)start — including change-set restarts — re-runs the ack phase.
+  if (op.write_tag_chosen) {
+    // A fixed tag (an install's preset, or a write's tag kept across
+    // restarts and redirects so no "ghost" tag is minted) leaves a read
+    // round's result unused: every (re)start runs only the write round.
+    // A kept tag came from a quorum read, so it still dominates every
+    // write completed before the op started, which is all atomicity needs.
     start_phase2(op);
     return;
   }
@@ -274,8 +277,8 @@ bool AbdClient::merge_and_maybe_restart(const ChangeSetPtr& incoming) {
   if (added == 0) return false;
   // Learned of newer completed changes: the change set is client-level
   // state, so EVERY in-flight operation's quorum accounting predates the
-  // merge — restart them all from phase 1 under the new weights
-  // (Algorithm 5 "restart the operation").
+  // merge — restart them all under the new weights (Algorithm 5 "restart
+  // the operation"); an op whose tag is chosen re-sends only its W round.
   for (auto& [id, op] : ops_) {
     ++restarts_;
     if (++op.op_restarts > max_restarts_) {
@@ -379,17 +382,9 @@ bool AbdClient::on_reply(ProcessId from, const Ack& ack) {
       return true;
     }
   } else {
-    // Choose the write's tag exactly once, even across change-set
-    // restarts: re-tagging the same value would leave "ghost" tags on
-    // servers that partially received an earlier phase 2. The original
-    // tag already dominates every write completed before this
-    // operation started (it came from a quorum read), which is all
-    // atomicity requires.
-    if (!op.write_tag_chosen) {
-      op.to_write.tag = Tag{maxreg.tag.ts + 1, self_};
-      op.write_tag_chosen = true;
-    }
+    op.to_write.tag = Tag{maxreg.tag.ts + 1, self_};
     op.to_write.value = op.value;
+    op.write_tag_chosen = true;  // fixed from here on: see start_phase1
     op.responders.clear();
   }
   start_phase2(op);

@@ -38,15 +38,18 @@
 //
 // Dynamic mode: every reply carries the server's change set C'. If C'
 // contains changes the client has not seen, the client merges them and
-// RESTARTS every in-flight operation from phase 1 (Algorithm 5 lines
-// 14-16/30-32 — the change set is client-level state, so all in-flight
-// quorum accounting predates the merge, not just the op whose reply
-// carried the news). Two deviations from the paper's literal pseudocode:
-// newer sets are MERGED rather than adopted verbatim, since change sets
-// form a join-semilattice and a reply from a lagging server must not
-// erase changes the client already learned; and a write keeps its
-// once-chosen tag across restarts, since re-tagging the same value would
-// leave ghost tags on servers an earlier phase 2 partially reached.
+// RESTARTS every in-flight operation with no responder kept (Algorithm 5
+// lines 14-16/30-32 — the change set is client-level state, so all
+// in-flight quorum accounting predates the merge, not just the op whose
+// reply carried the news). Two deviations from the paper's literal
+// pseudocode: newer sets are MERGED rather than adopted verbatim, since
+// change sets form a join-semilattice and a reply from a lagging server
+// must not erase changes the client already learned; and a write keeps
+// its once-chosen tag across restarts, since re-tagging the same value
+// would leave ghost tags on servers an earlier phase 2 partially reached.
+// So an op whose tag is fixed (a write past phase 1, or an install) runs
+// only its write round on every (re)start, and reads and rounds re-run
+// phase 1: a re-run read round's result would go unused by the write.
 //
 // Multi-register extension (beyond the paper): registers are named; the
 // paper's register is key "". list_keys() discovers every key any
@@ -141,8 +144,9 @@ class AbdClient {
   /// redirected.
   OpId round(RoundRequest request, RoundDone done);
 
-  /// Snapshot write-back: a phase-2-only write of a PRESET (tag, value)
-  /// (the double-collect confirmation writes back non-unanimous keys).
+  /// Snapshot write-back: a write of a PRESET (tag, value) (the
+  /// double-collect confirmation writes back non-unanimous keys), so it
+  /// runs only its write round, like any write with its tag chosen.
   /// Tag-monotone and idempotent, like any ABD write-back. Exempt from
   /// the one-op-per-key contract and never ordered behind keyed traffic:
   /// it races no tag choice (its tag is fixed) and must not deadlock
@@ -170,9 +174,9 @@ class AbdClient {
   std::optional<EjectedOp> eject(OpId id);
 
   /// Re-enqueues an ejected operation on THIS client (the redirect
-  /// target). Runs the full two-phase protocol under a fresh OpId. The
-  /// key stays busy in the router's per-key FIFO until the op completes,
-  /// so the one-op-per-key contract holds across the move.
+  /// target) under a fresh OpId; a write with its tag chosen runs only its
+  /// write round. The key stays busy in the router's FIFO until the op
+  /// completes, so the one-op-per-key contract holds across the move.
   OpId resume(EjectedOp op);
 
   /// Routes R_A / W_A / KEYS_A / SNAP_A replies; true iff consumed. Replies whose
@@ -210,7 +214,6 @@ class AbdClient {
   /// messages: without it a dropped quorum message stalls the operation
   /// forever, even after the link heals.
   void set_retry_interval(TimeNs interval) { retry_interval_ = interval; }
-  TimeNs retry_interval() const { return retry_interval_; }
 
   /// Phase broadcasts re-sent by the retry timer (observability/tests).
   std::uint64_t retransmits() const { return retransmits_; }
@@ -223,8 +226,6 @@ class AbdClient {
   /// first (max_delay 0 still defers to a zero-delay callback, so every
   /// operation issued in the same handler tick coalesces).
   void set_batching(std::size_t max_ops, TimeNs max_delay);
-  std::size_t batch_max_ops() const { return batch_max_ops_; }
-  TimeNs batch_max_delay() const { return batch_max_delay_; }
   bool batching() const { return batch_max_ops_ > 1; }
 
   /// Envelopes flushed / frames carried by them (observability: the mean

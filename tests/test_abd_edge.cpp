@@ -405,6 +405,73 @@ TEST(AbdClient, RestartDuringSeededWriteBackRerunsPhaseOne) {
   EXPECT_EQ(env.traffic().get("reads.fast_path"), 1);
 }
 
+TEST(AbdClient, RestartAfterTagChosenResendsOnlyItsWrite) {
+  // A write keeps the tag its phase 1 chose, so a W_A carrying a newer
+  // change set restarts it straight into its write round: no second R
+  // goes out, and the new attempt still needs a fresh quorum of W_A
+  // under the new weights.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(5, 2);
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  std::optional<Tag> got;
+  OpId op = client.write("k", "v", [&](const Tag& t) { got = t; });
+  const TaggedValue seen{Tag{4, 9}, "v4"};
+  for (ProcessId s : {0u, 1u, 2u}) {
+    client.handle(s, ReadAck(op, seen, nullptr, /*seq=*/1));
+  }
+  const Tag chosen{5, client_id(0)};
+  EXPECT_EQ(env.traffic().get("msg.R"), 5);
+  EXPECT_EQ(env.traffic().get("msg.W"), 5);
+
+  // Server 0 moved 1/8 of its weight to server 1.
+  ChangeSet moved = ChangeSet::initial(cfg.initial_weights);
+  moved.add(Change(0, kFirstCounter, 0, Weight(-1, 8)));
+  moved.add(Change(0, kFirstCounter, 1, Weight(1, 8)));
+  auto newer = std::make_shared<const ChangeSet>(moved);
+  client.handle(3, WriteAck(op, newer, /*seq=*/2));
+  EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_EQ(env.traffic().get("msg.R"), 5) << "phase 1 was re-run";
+  EXPECT_EQ(env.traffic().get("msg.W"), 10) << "the write was not re-sent";
+  client.handle(4, WriteAck(op, nullptr, 2));
+  EXPECT_FALSE(got.has_value()) << "an old attempt's W_A closed the write";
+
+  // Write round again (seq 3): servers 0 and 1 weigh 7/8 + 9/8 = 2 < 5/2.
+  client.handle(0, WriteAck(op, newer, 3));
+  client.handle(1, WriteAck(op, newer, 3));
+  EXPECT_FALSE(got.has_value());
+  client.handle(2, WriteAck(op, newer, 3));
+  ASSERT_TRUE(got.has_value()) << "three acks are a quorum";
+  EXPECT_EQ(*got, chosen) << "the restart re-minted the tag";
+}
+
+TEST(AbdClient, ResumedWriteWithChosenTagSkipsItsRead) {
+  // A write redirected in its write round carries its chosen tag to the
+  // target shard's client, which sends only the W round.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(5, 2);
+  AbdClient source(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  AbdClient target(env, client_id(1), cfg, AbdClient::Mode::kDynamic);
+  std::optional<Tag> got;
+  OpId op = source.write("k", "v", [&](const Tag& t) { got = t; });
+  for (ProcessId s : {0u, 1u, 2u}) {
+    source.handle(s, ReadAck(op, TaggedValue{Tag{4, 9}, "v4"}, nullptr, 1));
+  }
+  std::optional<AbdClient::EjectedOp> ejected = source.eject(op);
+  ASSERT_TRUE(ejected.has_value());
+  ASSERT_TRUE(ejected->write_tag_chosen);
+
+  const std::int64_t reads = env.traffic().get("msg.R");
+  const std::int64_t writes = env.traffic().get("msg.W");
+  OpId resumed = target.resume(std::move(*ejected));
+  EXPECT_EQ(env.traffic().get("msg.R"), reads) << "the resumed write read";
+  EXPECT_EQ(env.traffic().get("msg.W"), writes + 5);
+  for (ProcessId s : {0u, 1u, 2u}) {
+    target.handle(s, WriteAck(resumed, nullptr, /*seq=*/1));
+  }
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, (Tag{5, client_id(0)}));
+}
+
 TEST(AbdClient, LargeValuesRoundTrip) {
   StorageCluster c(4, 1, 44);
   std::vector<std::unique_ptr<StorageClient>> clients;
