@@ -2,8 +2,13 @@
 // change sets and restart-on-newer-set cost as reassignment churn grows?
 //
 // Sweep the background transfer rate while a client runs a fixed
-// read/write workload; report bytes per storage operation (dominated by
-// the piggybacked sets), operation restart rate, and latency.
+// read/write workload; report all bytes sent per client operation
+// (storage and reassignment traffic alike), operation restart rate, and
+// latency.
+//
+// `--json <path>` appends the table as one JSON line (experiment
+// "EXP-S1.piggyback_overhead"); CI appends it to BENCH_paper.json and
+// gates the no-churn point's KB per client op.
 #include "bench_util.h"
 
 namespace wrs {
@@ -63,7 +68,7 @@ ChurnResult run_churn(TimeNs transfer_interval, std::uint64_t seed) {
   env.run_until_pred([&] { return client->done(); }, seconds(1200));
 
   ChurnResult r;
-  // Storage bytes only: subtract reassignment message types.
+  // All traffic: the transfers' own messages count too (0 without churn).
   std::int64_t total_bytes = env.traffic().get("bytes") - bytes0;
   r.bytes_per_op = static_cast<double>(total_bytes) /
                    static_cast<double>(wp.num_ops);
@@ -75,12 +80,15 @@ ChurnResult run_churn(TimeNs transfer_interval, std::uint64_t seed) {
   return r;
 }
 
-void run() {
+constexpr std::uint64_t kSeed = 909;
+
+void run(bench::JsonReport* json) {
   bench::banner("EXP-S1",
                 "piggybacked change-set overhead and operation restarts "
                 "vs transfer churn (n=5, f=1, 200 client ops)");
-  Table table({"transfer interval", "transfers fired", "KB per client op",
-               "restarts per op", "read p50 (ms)", "read p99 (ms)"});
+  Table table({"transfer interval", "transfers fired",
+               "KB per client op (all traffic)", "restarts per op",
+               "read p50 (ms)", "read p99 (ms)"});
   struct Conf {
     TimeNs interval;
     std::string label;
@@ -88,26 +96,43 @@ void run() {
   for (const Conf& conf :
        {Conf{0, "none"}, Conf{ms(500), "500 ms"}, Conf{ms(200), "200 ms"},
         Conf{ms(100), "100 ms"}, Conf{ms(50), "50 ms"}}) {
-    ChurnResult r = run_churn(conf.interval, 909);
+    ChurnResult r = run_churn(conf.interval, kSeed);
     table.add_row({conf.label, std::to_string(r.transfers),
                    Table::fmt(r.bytes_per_op / 1024.0, 2),
                    Table::fmt(r.restarts_per_op, 3),
                    Table::fmt(r.read_p50_ms), Table::fmt(r.read_p99_ms)});
+    if (json) {
+      json->row()
+          .field("transfer_interval_ms", to_ms(conf.interval))
+          .field("transfers", static_cast<double>(r.transfers))
+          .field("kb_per_op", r.bytes_per_op / 1024.0)
+          .field("restarts_per_op", r.restarts_per_op)
+          .field("read_p50_ms", r.read_p50_ms)
+          .field("read_p99_ms", r.read_p99_ms);
+    }
   }
   table.print();
   bench::note(
-      "\nShape check: each completed transfer adds two changes that ride "
-      "on every subsequent reply, so bytes/op grow linearly with churn; "
-      "restarts happen when an operation straddles a transfer and stay "
-      "rare (an op restarts at most once per new change-set it meets). "
-      "Latency degrades gracefully — the design trades bounded metadata "
-      "growth for consensus-freedom.");
+      "\nShape check: a reply carries a server's change set only while the "
+      "client has not merged that version of it, so without churn a set "
+      "travels about once per server and bytes/op stay near the bare "
+      "register traffic. Each completed transfer adds two changes; the "
+      "next reply from every server that learned them ships its whole, "
+      "larger set once, so bytes/op grow with the transfer rate times the "
+      "set size. Restarts happen when an operation straddles a transfer "
+      "and stay rare (an op restarts at most once per new change set it "
+      "meets). Latency degrades gracefully — the design trades bounded "
+      "metadata growth for consensus-freedom.");
 }
 
 }  // namespace
 }  // namespace wrs
 
-int main() {
-  wrs::run();
+int main(int argc, char** argv) {
+  std::string path = wrs::bench::json_path(argc, argv);
+  wrs::bench::JsonReport json("EXP-S1.piggyback_overhead");
+  json.seed(wrs::kSeed);
+  wrs::run(path.empty() ? nullptr : &json);
+  if (!path.empty() && !json.write(path)) return 1;
   return 0;
 }

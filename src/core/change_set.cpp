@@ -14,10 +14,18 @@ ChangeSet ChangeSet::initial(const WeightMap& initial_weights) {
 }
 
 bool ChangeSet::add(const Change& change) {
-  auto [it, inserted] = map_.emplace(change.id, change.delta);
-  if (!inserted && !(it->second == change.delta)) {
+  return add(change.id, change.delta);
+}
+
+bool ChangeSet::add(const ChangeId& id, const Weight& delta) {
+  // try_emplace builds no node when the id is already present.
+  auto [it, inserted] = map_.try_emplace(id, delta);
+  if (!inserted && !(it->second == delta)) {
+    Change c;
+    c.id = id;
+    c.delta = delta;
     throw std::logic_error("ChangeSet: conflicting deltas for change id " +
-                           change.str() + " vs existing delta " +
+                           c.str() + " vs existing delta " +
                            it->second.str());
   }
   return inserted;
@@ -35,10 +43,7 @@ std::optional<Change> ChangeSet::find(const ChangeId& id) const {
 std::size_t ChangeSet::join(const ChangeSet& other) {
   std::size_t added = 0;
   for (const auto& [id, delta] : other.map_) {
-    Change c;
-    c.id = id;
-    c.delta = delta;
-    if (add(c)) ++added;
+    if (add(id, delta)) ++added;
   }
   return added;
 }

@@ -77,6 +77,8 @@ class ChangeSet {
   }
 
  private:
+  bool add(const ChangeId& id, const Weight& delta);
+
   std::map<ChangeId, Weight> map_;
 };
 

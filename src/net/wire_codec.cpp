@@ -202,6 +202,34 @@ ChangeSetPtr get_changes_ptr(Reader& r) {
   return make_pooled<const ChangeSet>(get_change_set(r));
 }
 
+/// An ABD reply's set and, only when the set is present, its version.
+template <typename W>
+void put_piggyback(W& w, const ChangeSetPtr& cs, SetVersion version) {
+  put_changes_ptr(w, cs);
+  if (cs) w.u64(version);
+}
+
+SetVersion get_set_version(Reader& r, const ChangeSetPtr& cs) {
+  return cs ? r.u64() : 0;
+}
+
+template <typename W>
+void put_known(W& w, const KnownVersions& known) {
+  w.u8(static_cast<std::uint8_t>(known.size()));
+  for (std::size_t i = 0; i < known.size(); ++i) w.u64(known.at(i));
+}
+
+KnownVersions get_known(Reader& r) {
+  std::uint8_t n = r.u8();
+  KnownVersions known;
+  for (std::uint8_t i = 0; i < n; ++i) {
+    if (!known.push_back(r.u64())) {
+      throw CodecError("wire: known-version count exceeds capacity");
+    }
+  }
+  return known;
+}
+
 template <typename W>
 void put_tagged_value(W& w, const TaggedValue& tv) {
   w.i64(tv.tag.ts);
@@ -294,31 +322,34 @@ void put_body(W& w, const Message& msg, int depth) {
     w.u32(m->seq());
     w.u32(m->shard());
     w.str(m->key());
+    put_known(w, m->known());
   } else if (const auto* m = msg_cast<ReadAck>(msg)) {
     w.u64(m->op_id());
     w.u32(m->seq());
     put_tagged_value(w, m->reg());
-    put_changes_ptr(w, m->changes());
+    put_piggyback(w, m->changes(), m->version());
   } else if (const auto* m = msg_cast<WriteReq>(msg)) {
     w.u64(m->op_id());
     w.u32(m->seq());
     w.u32(m->shard());
     put_tagged_value(w, m->reg());
     w.str(m->key());
+    put_known(w, m->known());
   } else if (const auto* m = msg_cast<WriteAck>(msg)) {
     w.u64(m->op_id());
     w.u32(m->seq());
-    put_changes_ptr(w, m->changes());
+    put_piggyback(w, m->changes(), m->version());
   } else if (const auto* m = msg_cast<KeysReq>(msg)) {
     w.u64(m->op_id());
     w.u32(m->seq());
     w.u32(m->shard());
+    put_known(w, m->known());
   } else if (const auto* m = msg_cast<KeysAck>(msg)) {
     w.u64(m->op_id());
     w.u32(m->seq());
     w.u32(static_cast<std::uint32_t>(m->keys().size()));
     for (const RegisterKey& k : m->keys()) w.str(k);
-    put_changes_ptr(w, m->changes());
+    put_piggyback(w, m->changes(), m->version());
   } else if (const auto* m = msg_cast<BatchRequest>(msg)) {
     w.u32(m->shard());
     put_frames(w, m->frames(), depth);
@@ -423,14 +454,17 @@ MsgPtr get_body(Reader& r, WireType type, int depth) {
       std::uint32_t seq = r.u32();
       ShardId shard = r.u32();
       RegisterKey key = r.str();
-      return make_msg<ReadReq>(op, std::move(key), seq, shard);
+      KnownVersions known = get_known(r);
+      return make_msg<ReadReq>(op, std::move(key), seq, shard, known);
     }
     case WireType::kReadAck: {
       OpId op = r.u64();
       std::uint32_t seq = r.u32();
       TaggedValue tv = get_tagged_value(r);
       ChangeSetPtr cs = get_changes_ptr(r);
-      return make_msg<ReadAck>(op, std::move(tv), std::move(cs), seq);
+      SetVersion version = get_set_version(r, cs);
+      return make_msg<ReadAck>(op, std::move(tv), std::move(cs), seq,
+                               version);
     }
     case WireType::kWriteReq: {
       OpId op = r.u64();
@@ -438,20 +472,22 @@ MsgPtr get_body(Reader& r, WireType type, int depth) {
       ShardId shard = r.u32();
       TaggedValue tv = get_tagged_value(r);
       RegisterKey key = r.str();
+      KnownVersions known = get_known(r);
       return make_msg<WriteReq>(op, std::move(tv), std::move(key), seq,
-                                        shard);
+                                shard, known);
     }
     case WireType::kWriteAck: {
       OpId op = r.u64();
       std::uint32_t seq = r.u32();
       ChangeSetPtr cs = get_changes_ptr(r);
-      return make_msg<WriteAck>(op, std::move(cs), seq);
+      SetVersion version = get_set_version(r, cs);
+      return make_msg<WriteAck>(op, std::move(cs), seq, version);
     }
     case WireType::kKeysReq: {
       OpId op = r.u64();
       std::uint32_t seq = r.u32();
       ShardId shard = r.u32();
-      return make_msg<KeysReq>(op, seq, shard);
+      return make_msg<KeysReq>(op, seq, shard, get_known(r));
     }
     case WireType::kKeysAck: {
       OpId op = r.u64();
@@ -462,7 +498,9 @@ MsgPtr get_body(Reader& r, WireType type, int depth) {
       keys.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) keys.push_back(r.str());
       ChangeSetPtr cs = get_changes_ptr(r);
-      return make_msg<KeysAck>(op, std::move(keys), std::move(cs), seq);
+      SetVersion version = get_set_version(r, cs);
+      return make_msg<KeysAck>(op, std::move(keys), std::move(cs), seq,
+                               version);
     }
     case WireType::kBatchRequest: {
       ShardId shard = r.u32();

@@ -47,6 +47,9 @@
 //   ChangeSet       u32 count + Change... (ascending ChangeId order)
 //   optional<u64>   u8 present + u64 (present only)
 //   ChangeSetPtr    u8 present + ChangeSet (present only)
+//   Piggyback       ChangeSetPtr + u64 SetVersion (incarnation << 32 |
+//                   set size; present only with the set) — R_A/W_A/KEYS_A
+//   KnownVersions   u8 count (<= KnownVersions::kCapacity) + u64 each
 //
 // Every container is encoded in a deterministic order (ChangeSet and
 // RTT maps iterate their ordered std::map, vectors keep their order), so
@@ -67,7 +70,7 @@
 namespace wrs::net {
 
 /// Bumped on any incompatible change to the frame or payload encodings.
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 
 /// Bytes before the payload, counting the u32 length prefix.
 inline constexpr std::size_t kFramePreludeBytes = 14;

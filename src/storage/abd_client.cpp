@@ -28,15 +28,30 @@ AbdClient::AbdClient(Env& env, ProcessId self, const SystemConfig& config,
       servers_(config.servers()),
       mode_(mode),
       initial_total_(config.initial_total()),
-      changes_(ChangeSet::initial(config.initial_weights)) {}
+      changes_(ChangeSet::initial(config.initial_weights)) {
+  if (mode_ == Mode::kDynamic) {
+    known_ = KnownVersions::for_group(servers_.size());
+  }
+  weights_.reserve(servers_.size());
+  for (ProcessId s : servers_) weights_.push_back(config_.initial_weights.of(s));
+}
 
 OpId AbdClient::fresh_op_id() {
   return g_next_op_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 WeightMap AbdClient::current_weights() const {
-  if (mode_ == Mode::kStatic) return config_.initial_weights;
-  return changes_.to_weight_map(servers_);
+  WeightMap wm;
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    wm.set(servers_[i], weights_[i]);
+  }
+  return wm;
+}
+
+std::size_t AbdClient::position(ProcessId server) const {
+  // A group owns the contiguous ids [base, base+n); anything else maps
+  // past the end (unsigned wrap-around included).
+  return static_cast<std::size_t>(server - config_.base);
 }
 
 OpId AbdClient::read(RegisterKey key, ReadCallback cb) {
@@ -57,10 +72,9 @@ OpId AbdClient::write(RegisterKey key, Value value, WriteCallback cb) {
 }
 
 OpId AbdClient::list_keys(KeysCallback cb) {
-  ShardId shard = config_.shard;
   return round(
-      [shard](OpId id, std::uint32_t seq) {
-        return make_msg<KeysReq>(id, seq, shard);
+      [this](OpId id, std::uint32_t seq) {
+        return make_msg<KeysReq>(id, seq, config_.shard, known_);
       },
       [cb = std::move(cb)](const std::vector<Reply>& replies) {
         std::set<RegisterKey> keys;
@@ -180,9 +194,9 @@ void AbdClient::broadcast_phase(const Op& op) {
   MsgPtr req;
   if (op.phase == 2) {
     req = make_msg<WriteReq>(op.id, op.to_write, op.key, op.seq,
-                             config_.shard);
+                             config_.shard, known_);
   } else {
-    req = make_msg<ReadReq>(op.id, op.key, op.seq, config_.shard);
+    req = make_msg<ReadReq>(op.id, op.key, op.seq, config_.shard, known_);
   }
   if (!batching()) {
     env_.broadcast_to_group(self_, servers_, req);
@@ -271,10 +285,17 @@ void AbdClient::complete(OpId id) {
   }
 }
 
-bool AbdClient::merge_and_maybe_restart(const ChangeSetPtr& incoming) {
+bool AbdClient::merge_and_maybe_restart(ProcessId from,
+                                        const ChangeSetPtr& incoming,
+                                        SetVersion version) {
   if (mode_ == Mode::kStatic || !incoming) return false;
   std::size_t added = changes_.join(*incoming);
+  // changes_ now holds the sender's whole set, for good: it may omit it.
+  if (version != 0) known_.set(position(from), version);
   if (added == 0) return false;
+  for (std::size_t i = 0; i < servers_.size(); ++i) {
+    weights_[i] = changes_.weight_of(servers_[i]);
+  }
   // Learned of newer completed changes: the change set is client-level
   // state, so EVERY in-flight operation's quorum accounting predates the
   // merge — restart them all under the new weights (Algorithm 5 "restart
@@ -291,13 +312,27 @@ bool AbdClient::merge_and_maybe_restart(const ChangeSetPtr& incoming) {
   return true;
 }
 
+void AbdClient::note_version(ProcessId from, const ChangeSetPtr& incoming,
+                             SetVersion version) {
+  std::size_t pos = position(from);
+  if (!incoming || version == 0 || pos >= known_.size() ||
+      known_.at(pos) == version) {
+    return;
+  }
+  // Never merged: joining here would restart the in-flight ops on news a
+  // reply outside its attempt brought. Recorded only when nothing is new.
+  if (incoming->subset_of(changes_)) known_.set(pos, version);
+}
+
 bool AbdClient::responders_form_quorum(
     const std::vector<ProcessId>& responders) const {
   // Algorithm 5 is_quorum: responders' total weight under the client's
   // current change set must exceed W_{S,0}/2.
-  WeightMap weights = current_weights();
   Weight sum(0);
-  for (ProcessId s : responders) sum += weights.of(s);
+  for (ProcessId s : responders) {
+    std::size_t pos = position(s);
+    if (pos < weights_.size()) sum += weights_[pos];
+  }
   return sum * Weight(2) > initial_total_;
 }
 
@@ -322,10 +357,26 @@ bool AbdClient::handle(ProcessId from, const Message& msg) {
   return false;
 }
 
+namespace {
+// The reply's change-set version; 0 for acks that carry none (SNAP_A).
+template <typename Ack>
+SetVersion version_of(const Ack& ack) {
+  if constexpr (requires { ack.version(); }) {
+    return ack.version();
+  } else {
+    return 0;
+  }
+}
+}  // namespace
+
 template <typename Ack>
 bool AbdClient::on_reply(ProcessId from, const Ack& ack) {
   auto it = ops_.find(ack.op_id());
-  if (it == ops_.end()) return false;  // not mine (or long completed)
+  if (it == ops_.end()) {
+    // Not mine, or long completed: a late reply still reports a version.
+    note_version(from, ack.changes(), version_of(ack));
+    return false;
+  }
   Op& op = it->second;
   // A read/write phase accepts only its own ack type; a round accepts
   // whatever its request is answered with.
@@ -333,9 +384,13 @@ bool AbdClient::on_reply(ProcessId from, const Ack& ack) {
                   (op.phase == 1 && std::is_same_v<Ack, ReadAck>) ||
                   (op.phase == 2 && std::is_same_v<Ack, WriteAck>);
   if (!expected || ack.seq() != op.seq) {
-    return true;  // stale reply (from a restarted attempt): consumed
+    // Stale reply (from a restarted attempt): consumed.
+    note_version(from, ack.changes(), version_of(ack));
+    return true;
   }
-  if (merge_and_maybe_restart(ack.changes())) return true;
+  if (merge_and_maybe_restart(from, ack.changes(), version_of(ack))) {
+    return true;
+  }
 
   auto seen = std::find(op.responders.begin(), op.responders.end(), from);
   bool fresh = seen == op.responders.end();

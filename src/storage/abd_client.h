@@ -36,20 +36,31 @@
 // time. Debug builds assert the contract on every enqueue. round() and
 // install() (preset tag) are exempt.
 //
-// Dynamic mode: every reply carries the server's change set C'. If C'
-// contains changes the client has not seen, the client merges them and
-// RESTARTS every in-flight operation with no responder kept (Algorithm 5
-// lines 14-16/30-32 — the change set is client-level state, so all
-// in-flight quorum accounting predates the merge, not just the op whose
-// reply carried the news). Two deviations from the paper's literal
-// pseudocode: newer sets are MERGED rather than adopted verbatim, since
-// change sets form a join-semilattice and a reply from a lagging server
-// must not erase changes the client already learned; and a write keeps
-// its once-chosen tag across restarts, since re-tagging the same value
-// would leave ghost tags on servers an earlier phase 2 partially reached.
-// So an op whose tag is fixed (a write past phase 1, or an install) runs
-// only its write round on every (re)start, and reads and rounds re-run
-// phase 1: a re-run read round's result would go unused by the write.
+// Dynamic mode: a reply carries the server's change set C' unless the
+// client has already merged it. Every R/W/KEYS request carries the
+// client's KnownVersions — the SetVersion last merged from each server
+// of the group — and a server whose version matches omits C' (see
+// abd_messages.h). The client records a server's version whenever it
+// merges that server's set; a stale or late reply's version is recorded
+// only when its set is already a subset of the client's, and such a
+// reply is never merged. So an omitted set is one whose merge would
+// have added nothing, and every restart is the paper's. If C' contains
+// changes the client has not seen, the client merges them and RESTARTS
+// every in-flight operation with no responder kept (Algorithm 5 lines
+// 14-16/30-32 — the change set is client-level state, so all in-flight
+// quorum accounting predates the merge, not just the op whose reply
+// carried the news). Quorum checks sum per-server weights cached by
+// group position, recomputed only when a merge grows the set.
+//
+// Two deviations from the paper's literal pseudocode: newer sets are
+// MERGED rather than adopted verbatim, since change sets form a
+// join-semilattice and a reply from a lagging server must not erase
+// changes the client already learned; and a write keeps its once-chosen
+// tag across restarts, since re-tagging the same value would leave
+// ghost tags on servers an earlier phase 2 partially reached. So an op
+// whose tag is fixed (a write past phase 1, or an install) runs only
+// its write round on every (re)start, and reads and rounds re-run phase
+// 1: a re-run read round's result would go unused by the write.
 //
 // Multi-register extension (beyond the paper): registers are named; the
 // paper's register is key "". list_keys() discovers every key any
@@ -196,7 +207,8 @@ class AbdClient {
   /// The client's current change set (dynamic mode).
   const ChangeSet& changes() const { return changes_; }
 
-  /// Weight map the client currently derives quorums from.
+  /// Weight map the client currently derives quorums from (its cache of
+  /// changes().to_weight_map(servers) in dynamic mode).
   WeightMap current_weights() const;
 
   /// Total operation restarts caused by newer change sets (EXP-S1).
@@ -280,8 +292,12 @@ class AbdClient {
   void complete(OpId id);
   template <typename Ack>
   bool on_reply(ProcessId from, const Ack& ack);
-  bool merge_and_maybe_restart(const ChangeSetPtr& incoming);
+  bool merge_and_maybe_restart(ProcessId from, const ChangeSetPtr& incoming,
+                               SetVersion version);
+  void note_version(ProcessId from, const ChangeSetPtr& incoming,
+                    SetVersion version);
   bool responders_form_quorum(const std::vector<ProcessId>& responders) const;
+  std::size_t position(ProcessId server) const;
   static OpId fresh_op_id();
 
   Env& env_;
@@ -295,6 +311,12 @@ class AbdClient {
   Weight initial_total_;
 
   ChangeSet changes_;
+  /// The SetVersion last merged from each server, by group position; it
+  /// rides on every R/W/KEYS request (empty in static mode).
+  KnownVersions known_;
+  /// W_s under changes_ (the initial weights in static mode), by group
+  /// position; recomputed only when a merge grows changes_.
+  std::vector<Weight> weights_;
   /// Concurrent operation state machines, keyed by OpId. FlatMap keeps
   /// in-flight state contiguous; OpIds are allocated monotonically, so
   /// inserts land at the back.

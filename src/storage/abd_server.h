@@ -1,9 +1,17 @@
 // Server side of the (dynamic-weighted) ABD register — Algorithm 6.
 //
 // Differences from classical ABD:
-//  * every reply carries the server's current set of changes (supplied
-//    by a provider callback wired to the co-located ReassignNode; null
-//    in static deployments);
+//  * every R_A/W_A/KEYS_A carries the server's current change set and
+//    its version (supplied by a provider callback wired to the
+//    co-located ReassignNode; null in static deployments), unless the
+//    request's KnownVersions entry for this server's group position
+//    already equals that version — then it carries neither. The version
+//    is the set's size tagged with this AbdServer's incarnation: the set
+//    only grows while the server lives, and a server restarted with
+//    empty state is a new incarnation, so an equal version means an
+//    equal set — one the client already merged (see abd_messages.h).
+//    Migration and snapshot acks, which answer requests without known
+//    versions, ship the full set;
 //  * registers are NAMED: the paper's single register is key "". The
 //    multi-register ("key-value") mode is an extension of the paper —
 //    see DynamicStorageNode for the gain-refresh implications.
@@ -47,11 +55,13 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -70,11 +80,15 @@ class AbdServer {
   /// for piggybacking, or null in static deployments.
   using ChangesProvider = std::function<ChangeSetPtr()>;
 
+  /// `group_index` is this server's position in its group's server list:
+  /// the entry of a request's KnownVersions that speaks for it.
   AbdServer(Env& env, ProcessId self, ChangesProvider changes_provider,
-            ShardId shard = 0)
+            ShardId shard = 0, std::size_t group_index = 0)
       : env_(env),
         self_(self),
         shard_(shard),
+        group_index_(group_index),
+        incarnation_(fresh_incarnation()),
         changes_provider_(std::move(changes_provider)) {}
 
   /// Routes R / W / KEYS messages and batched envelopes; true iff
@@ -230,6 +244,32 @@ class AbdServer {
     return changes_provider_ ? changes_provider_() : nullptr;
   }
 
+  /// The change set and its version as a reply carries them: both are
+  /// left out when the requester's entry for this server already names
+  /// the set.
+  struct Piggyback {
+    ChangeSetPtr changes;
+    SetVersion version = 0;
+  };
+  Piggyback piggyback(const KnownVersions& known) const {
+    ChangeSetPtr cs = snapshot();
+    if (!cs) return {};
+    SetVersion v = (SetVersion{incarnation_} << 32) | cs->size();
+    if (known.at(group_index_) == v) return {};
+    return {std::move(cs), v};
+  }
+
+  /// Distinct for every AbdServer built in this process, and random
+  /// across processes, so a restarted server never reuses the version of
+  /// a set its predecessor shipped. Never 0 (0 is "no version").
+  static std::uint32_t fresh_incarnation() {
+    static const std::uint32_t seed = std::random_device{}();
+    static std::atomic<std::uint32_t> next{0};
+    std::uint32_t v = 0;
+    while (v == 0) v = seed + next.fetch_add(1, std::memory_order_relaxed);
+    return v;
+  }
+
   bool misrouted(ShardId requested) {
     if (requested == shard_) return false;
     ++misrouted_;
@@ -249,8 +289,9 @@ class AbdServer {
         return verdict == kParkedSentinel() ? nullptr : verdict;
       }
       note_hit(r->key());
-      return make_msg<ReadAck>(r->op_id(), reg(r->key()), snapshot(),
-                                       r->seq());
+      Piggyback p = piggyback(r->known());
+      return make_msg<ReadAck>(r->op_id(), reg(r->key()),
+                               std::move(p.changes), r->seq(), p.version);
     }
     if (const auto* w = msg_cast<WriteReq>(msg)) {
       if (misrouted(w->shard())) return nullptr;
@@ -261,7 +302,9 @@ class AbdServer {
       note_hit(w->key());
       TaggedValue& slot = regs_[w->key()];
       if (slot.tag < w->reg().tag) slot = w->reg();
-      return make_msg<WriteAck>(w->op_id(), snapshot(), w->seq());
+      Piggyback p = piggyback(w->known());
+      return make_msg<WriteAck>(w->op_id(), std::move(p.changes), w->seq(),
+                                p.version);
     }
     if (const auto* k = msg_cast<KeysReq>(msg)) {
       if (misrouted(k->shard())) return nullptr;
@@ -275,8 +318,9 @@ class AbdServer {
         if (it != route_marks_.end() && it->second.owner != shard_) continue;
         keys.push_back(key);
       }
-      return make_msg<KeysAck>(k->op_id(), std::move(keys), snapshot(),
-                                       k->seq());
+      Piggyback p = piggyback(k->known());
+      return make_msg<KeysAck>(k->op_id(), std::move(keys),
+                               std::move(p.changes), k->seq(), p.version);
     }
     return nullptr;
   }
@@ -346,9 +390,10 @@ class AbdServer {
     mark.owner = shard_;
     mark.frozen = true;
     mark.committed = false;
+    Piggyback p = piggyback(KnownVersions{});
     reply(from,
-          make_msg<ReadAck>(f.op_id(), reg(f.key()), snapshot(),
-                                    f.seq()),
+          make_msg<ReadAck>(f.op_id(), reg(f.key()), std::move(p.changes),
+                            f.seq(), p.version),
           service_time_);
   }
 
@@ -372,7 +417,10 @@ class AbdServer {
       TaggedValue& slot = regs_[c.key()];
       if (slot.tag < c.install()->tag) slot = *c.install();
     }
-    reply(from, make_msg<WriteAck>(c.op_id(), snapshot(), c.seq()),
+    Piggyback p = piggyback(KnownVersions{});
+    reply(from,
+          make_msg<WriteAck>(c.op_id(), std::move(p.changes), c.seq(),
+                             p.version),
           service_time_);
     drain_parked(c.key());
   }
@@ -547,6 +595,8 @@ class AbdServer {
   Env& env_;
   ProcessId self_;
   ShardId shard_;
+  std::size_t group_index_;
+  std::uint32_t incarnation_;
   ChangesProvider changes_provider_;
   std::map<RegisterKey, TaggedValue> regs_;
   /// Checked on EVERY read/write (route_check) but populated only by the

@@ -12,7 +12,7 @@ DynamicStorageNode::DynamicStorageNode(Env& env, ProcessId self,
       reassign_(env, self, config),
       refresh_client_(env, self, config, AbdClient::Mode::kDynamic),
       server_(env, self, [this] { return changes_snapshot(); },
-              config.shard) {
+              config.shard, self - config.base) {
   reassign_.set_on_changes_grown([this] { ++snapshot_version_; });
   // Algorithm 4 line 9: before a weight gain is applied, refresh the
   // register by performing a full atomic read. Gains arriving while the

@@ -10,7 +10,7 @@
 // All three share this Process's mailbox; on_message dispatches to each
 // component in turn. ABD replies from this node's AbdServer piggyback the
 // ReassignNode's current change set (cached per version so snapshots are
-// O(1) between reassignments).
+// O(1) between reassignments) to requesters that have not merged it yet.
 #pragma once
 
 #include <memory>

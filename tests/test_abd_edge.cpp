@@ -1,7 +1,9 @@
 // Edge-case tests for the ABD client/server machinery: stale replies,
 // restart budgets, weight views, write-back freshness, one-round reads,
-// and the server register rules.
+// version-gated change-set piggybacking, and the server register rules.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "runtime/msg_pool.h"
 #include "storage/abd_server.h"
@@ -66,6 +68,109 @@ TEST(AbdServer, RepliesCarryProvidedChangeSet) {
   env.run_to_quiescence();
   ASSERT_NE(cap.last, nullptr);
   EXPECT_EQ(cap.last->size(), 3u);
+}
+
+/// Captures every R_A a single AbdServer sends back to client_id(0).
+struct AckCapture {
+  struct Cap : Process {
+    std::vector<std::pair<ChangeSetPtr, SetVersion>> acks;
+    void on_message(ProcessId, const Message& m) override {
+      if (const auto* ack = msg_cast<ReadAck>(m)) {
+        acks.emplace_back(ack->changes(), ack->version());
+      }
+    }
+  };
+  /// Hands every request to whichever server `s` points at.
+  struct Owner : Process {
+    AbdServer* s = nullptr;
+    void on_message(ProcessId from, const Message& m) override {
+      s->handle(from, m);
+    }
+  };
+
+  SimEnv env{std::make_shared<ConstantLatency>(ms(1)), 1};
+  Cap cap;
+  Owner owner;
+
+  explicit AckCapture(ProcessId server) {
+    env.register_process(client_id(0), &cap);
+    env.register_process(server, &owner);
+    env.start();
+  }
+
+  /// Sends one R to `server` naming `known`; returns its R_A's piggyback.
+  std::pair<ChangeSetPtr, SetVersion> read(ProcessId server,
+                                           const KnownVersions& known) {
+    env.send(client_id(0), server, make_msg<ReadReq>(1, "", 1, 0, known));
+    env.run_to_quiescence();
+    return cap.acks.back();
+  }
+};
+
+ChangeSetPtr with_transfer(const WeightMap& initial, ProcessId from,
+                           ProcessId to) {
+  ChangeSet cs = ChangeSet::initial(initial);
+  cs.add(Change(from, kFirstCounter, from, Weight(-1, 8)));
+  cs.add(Change(from, kFirstCounter, to, Weight(1, 8)));
+  return std::make_shared<const ChangeSet>(std::move(cs));
+}
+
+TEST(AbdServer, MatchingVersionOmitsTheSetALowerOneGetsIt) {
+  // Server 1 of a 3-server group: its entry is position 1 of the
+  // request's known versions.
+  AckCapture c(1);
+  auto cs = std::make_shared<const ChangeSet>(
+      ChangeSet::initial(WeightMap::uniform(3)));
+  AbdServer server(c.env, 1, [cs] { return cs; }, /*shard=*/0,
+                   /*group_index=*/1);
+  c.owner.s = &server;
+
+  KnownVersions known = KnownVersions::for_group(3);
+  auto [first, v] = c.read(1, known);
+  ASSERT_NE(first, nullptr) << "nothing merged yet: the set must travel";
+  EXPECT_EQ(*first, *cs);
+  EXPECT_NE(v, 0u);
+  EXPECT_EQ(v & 0xffffffffu, cs->size()) << "the version counts the set";
+
+  known.set(1, v);
+  auto [omitted, none] = c.read(1, known);
+  EXPECT_EQ(omitted, nullptr) << "the requester already holds this set";
+  EXPECT_EQ(none, 0u) << "no set, no version";
+
+  known.set(1, v - 1);
+  EXPECT_NE(c.read(1, known).first, nullptr) << "an older version";
+
+  // The entry of another position says nothing about this server.
+  KnownVersions other = KnownVersions::for_group(3);
+  other.set(0, v);
+  other.set(2, v);
+  EXPECT_NE(c.read(1, other).first, nullptr);
+}
+
+TEST(AbdServer, FreshIncarnationWithAnEqualSizedSetStillSendsIt) {
+  // A wrs-node restarted with empty state rebuilds its change set from
+  // scratch; it can reach the old set's size with different changes. Its
+  // new incarnation keeps the client's recorded version from matching.
+  AckCapture c(0);
+  WeightMap w = WeightMap::uniform(3);
+  ChangeSetPtr before = with_transfer(w, 0, 1);
+  ChangeSetPtr after = with_transfer(w, 2, 1);
+  ASSERT_EQ(before->size(), after->size());
+  ASSERT_FALSE(*before == *after);
+
+  AbdServer first(c.env, 0, [before] { return before; });
+  c.owner.s = &first;
+  KnownVersions known = KnownVersions::for_group(3);
+  SetVersion v = c.read(0, known).second;
+  known.set(0, v);
+  ASSERT_EQ(c.read(0, known).first, nullptr);
+
+  AbdServer restarted(c.env, 0, [after] { return after; });
+  c.owner.s = &restarted;
+  auto [cs, v2] = c.read(0, known);
+  ASSERT_NE(cs, nullptr) << "a new incarnation reused a shipped version";
+  EXPECT_EQ(*cs, *after);
+  EXPECT_NE(v2, v);
 }
 
 TEST(AbdClient, ForeignAndStaleAcksIgnored) {
@@ -388,8 +493,14 @@ TEST(AbdClient, RestartDuringSeededWriteBackRerunsPhaseOne) {
   moved.add(Change(0, kFirstCounter, 0, Weight(-1, 8)));
   moved.add(Change(0, kFirstCounter, 1, Weight(1, 8)));
   auto newer = std::make_shared<const ChangeSet>(moved);
+  EXPECT_EQ(client.current_weights(),
+            client.changes().to_weight_map(cfg.servers()));
   client.handle(3, WriteAck(op, newer, /*seq=*/2));
   EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_EQ(client.current_weights(),
+            client.changes().to_weight_map(cfg.servers()))
+      << "the cached weights missed the merge";
+  EXPECT_EQ(client.current_weights().of(1), Weight(9, 8));
   EXPECT_EQ(env.traffic().get("msg.R"), 10) << "phase 1 was not re-run";
   client.handle(4, WriteAck(op, nullptr, 2));
   EXPECT_FALSE(got.has_value()) << "an old attempt's W_A closed the read";
@@ -430,6 +541,9 @@ TEST(AbdClient, RestartAfterTagChosenResendsOnlyItsWrite) {
   auto newer = std::make_shared<const ChangeSet>(moved);
   client.handle(3, WriteAck(op, newer, /*seq=*/2));
   EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_EQ(client.current_weights(),
+            client.changes().to_weight_map(cfg.servers()))
+      << "the cached weights missed the merge";
   EXPECT_EQ(env.traffic().get("msg.R"), 5) << "phase 1 was re-run";
   EXPECT_EQ(env.traffic().get("msg.W"), 10) << "the write was not re-sent";
   client.handle(4, WriteAck(op, nullptr, 2));
@@ -442,6 +556,9 @@ TEST(AbdClient, RestartAfterTagChosenResendsOnlyItsWrite) {
   client.handle(2, WriteAck(op, newer, 3));
   ASSERT_TRUE(got.has_value()) << "three acks are a quorum";
   EXPECT_EQ(*got, chosen) << "the restart re-minted the tag";
+  EXPECT_EQ(client.restarts(), 1u) << "a set already merged restarted";
+  EXPECT_EQ(client.current_weights(),
+            client.changes().to_weight_map(cfg.servers()));
 }
 
 TEST(AbdClient, ResumedWriteWithChosenTagSkipsItsRead) {
@@ -470,6 +587,129 @@ TEST(AbdClient, ResumedWriteWithChosenTagSkipsItsRead) {
   }
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, (Tag{5, client_id(0)}));
+}
+
+/// n AbdServers that piggyback their own (replaceable) change sets and
+/// one dynamic AbdClient, on a SimEnv with 1 ms links. The client's
+/// process tallies, per sender, the R_A/W_A it received with and
+/// without a set.
+struct VersionedGroup {
+  struct Server : Process {
+    Server(Env& env, ProcessId id, ChangeSetPtr cs)
+        : set(std::move(cs)),
+          abd(env, id, [this] { return set; }, /*shard=*/0, id) {}
+    void on_message(ProcessId from, const Message& m) override {
+      abd.handle(from, m);
+    }
+    ChangeSetPtr set;
+    AbdServer abd;
+  };
+  struct Client : Process {
+    Client(Env& env, const SystemConfig& config)
+        : abd(env, client_id(0), config, AbdClient::Mode::kDynamic) {}
+    void on_message(ProcessId from, const Message& m) override {
+      const ChangeSetPtr* cs = nullptr;
+      if (const auto* a = msg_cast<ReadAck>(m)) cs = &a->changes();
+      if (const auto* a = msg_cast<WriteAck>(m)) cs = &a->changes();
+      if (cs != nullptr) ++(*cs ? with_set : without_set)[from];
+      abd.handle(from, m);
+    }
+    std::map<ProcessId, int> with_set, without_set;
+    AbdClient abd;
+  };
+
+  SimEnv env{std::make_shared<ConstantLatency>(ms(1)), 1};
+  SystemConfig config;
+  std::vector<std::unique_ptr<Server>> servers;
+  Client client;
+
+  explicit VersionedGroup(std::uint32_t n)
+      : config(SystemConfig::uniform(n, (n - 1) / 2)), client(env, config) {
+    auto initial = std::make_shared<const ChangeSet>(
+        ChangeSet::initial(config.initial_weights));
+    for (ProcessId s = 0; s < n; ++s) {
+      servers.push_back(std::make_unique<Server>(env, s, initial));
+      env.register_process(s, servers.back().get());
+    }
+    env.register_process(client_id(0), &client);
+    env.start();
+  }
+
+  AbdClient& abd() { return client.abd; }
+
+  void read(const RegisterKey& key) {
+    bool done = false;
+    abd().read(key, [&](const TaggedValue&) { done = true; });
+    test::run_until(env, [&] { return done; });
+  }
+};
+
+TEST(AbdClient, LateReplyWithAKnownSetAdvancesItsVersion) {
+  // Server 2 is slow: the read closes on servers 0 and 1, whose sets it
+  // merges (nothing new) and whose versions it records. Server 2's reply
+  // arrives after the op completed; its set is already held, so its
+  // version is recorded too, and the next read costs no set at all.
+  VersionedGroup g(3);
+  g.env.hold_messages(2);
+  g.read("k");
+  EXPECT_EQ(g.client.with_set[0], 1);
+  EXPECT_EQ(g.client.with_set[1], 1);
+  g.env.release_holds(2);
+  g.env.run_to_quiescence();
+  EXPECT_EQ(g.client.with_set[2], 1) << "the late reply never arrived";
+
+  g.read("k");
+  g.env.run_to_quiescence();
+  for (ProcessId s : {0u, 1u, 2u}) {
+    EXPECT_EQ(g.client.with_set[s], 1) << "server " << s << " re-sent its set";
+    EXPECT_EQ(g.client.without_set[s], 1) << "server " << s;
+  }
+  EXPECT_EQ(g.abd().restarts(), 0u);
+}
+
+TEST(AbdClient, LateOrStaleReplyWithNewChangesIsNeitherMergedNorRecorded) {
+  // A reply outside its op's current attempt must not restart anything,
+  // so its news wait for a current reply: the client neither merges its
+  // set nor records its version, and server 2 keeps sending the set.
+  SimEnv env(std::make_shared<ConstantLatency>(ms(1)), 1);
+  SystemConfig cfg = SystemConfig::uniform(3, 1);
+  struct Sink : Process {
+    KnownVersions last;
+    void on_message(ProcessId, const Message& m) override {
+      if (const auto* r = msg_cast<ReadReq>(m)) last = r->known();
+    }
+  };
+  Sink sinks[3];
+  for (ProcessId s = 0; s < 3; ++s) env.register_process(s, &sinks[s]);
+  AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
+  env.start();
+
+  auto initial =
+      std::make_shared<const ChangeSet>(ChangeSet::initial(cfg.initial_weights));
+  ChangeSetPtr newer = with_transfer(cfg.initial_weights, 0, 1);
+  const SetVersion v0 = (SetVersion{7} << 32) | 3;
+  const SetVersion v1 = (SetVersion{8} << 32) | 3;
+  const SetVersion v2 = (SetVersion{9} << 32) | newer->size();
+  bool done = false;
+  OpId a = client.read("a", [&](const TaggedValue&) { done = true; });
+  client.handle(0, ReadAck(a, TaggedValue{}, initial, 1, v0));
+  client.handle(1, ReadAck(a, TaggedValue{}, initial, 1, v1));
+  ASSERT_TRUE(done);
+
+  OpId b = client.read("b", [](const TaggedValue&) {});
+  // Late: op a is gone, so the reply is not consumed.
+  EXPECT_FALSE(client.handle(2, ReadAck(a, TaggedValue{}, newer, 1, v2)));
+  // Stale: op b is in flight, but seq 99 is no attempt of it.
+  EXPECT_TRUE(client.handle(2, ReadAck(b, TaggedValue{}, newer, 99, v2)));
+  EXPECT_EQ(client.changes().size(), initial->size()) << "merged";
+  EXPECT_EQ(client.restarts(), 0u);
+  EXPECT_EQ(client.current_weights(), cfg.initial_weights);
+
+  client.read("c", [](const TaggedValue&) {});
+  env.run_to_quiescence();
+  EXPECT_EQ(sinks[2].last.at(0), v0);
+  EXPECT_EQ(sinks[2].last.at(1), v1);
+  EXPECT_EQ(sinks[2].last.at(2), 0u) << "recorded a set it never merged";
 }
 
 TEST(AbdClient, LargeValuesRoundTrip) {

@@ -77,34 +77,60 @@ ChangeSetPtr rand_changes_ptr(Rng& rng) {
   return std::make_shared<const ChangeSet>(rand_change_set(rng));
 }
 
+/// Known versions of a random group size up to the capacity; some
+/// entries 0 (nothing merged yet from that server).
+KnownVersions rand_known(Rng& rng) {
+  KnownVersions known =
+      KnownVersions::for_group(rng.below(KnownVersions::kCapacity + 1));
+  for (std::size_t i = 0; i < known.size(); ++i) {
+    known.set(i, rng.below(4) == 0 ? 0 : rng());
+  }
+  return known;
+}
+
+/// A reply's piggyback: a set with its version, or neither (the codec
+/// carries the version only with the set).
+std::pair<ChangeSetPtr, SetVersion> rand_piggyback(Rng& rng) {
+  ChangeSetPtr cs = rand_changes_ptr(rng);
+  SetVersion v = cs ? rng() : 0;
+  return {std::move(cs), v};
+}
+
 MsgPtr rand_read_req(Rng& rng) {
   return std::make_shared<ReadReq>(rng(), rand_string(rng),
                                    static_cast<std::uint32_t>(rng.below(100)),
-                                   static_cast<ShardId>(rng.below(4)));
+                                   static_cast<ShardId>(rng.below(4)),
+                                   rand_known(rng));
 }
 
 MsgPtr rand_write_req(Rng& rng) {
   return std::make_shared<WriteReq>(rng(), rand_tagged_value(rng),
                                     rand_string(rng),
                                     static_cast<std::uint32_t>(rng.below(100)),
-                                    static_cast<ShardId>(rng.below(4)));
+                                    static_cast<ShardId>(rng.below(4)),
+                                    rand_known(rng));
 }
 
 MsgPtr rand_keys_req(Rng& rng) {
   return std::make_shared<KeysReq>(rng(),
                                    static_cast<std::uint32_t>(rng.below(100)),
-                                   static_cast<ShardId>(rng.below(4)));
+                                   static_cast<ShardId>(rng.below(4)),
+                                   rand_known(rng));
 }
 
 MsgPtr rand_read_ack(Rng& rng) {
+  auto [cs, v] = rand_piggyback(rng);
   return std::make_shared<ReadAck>(rng(), rand_tagged_value(rng),
-                                   rand_changes_ptr(rng),
-                                   static_cast<std::uint32_t>(rng.below(100)));
+                                   std::move(cs),
+                                   static_cast<std::uint32_t>(rng.below(100)),
+                                   v);
 }
 
 MsgPtr rand_write_ack(Rng& rng) {
-  return std::make_shared<WriteAck>(rng(), rand_changes_ptr(rng),
-                                    static_cast<std::uint32_t>(rng.below(100)));
+  auto [cs, v] = rand_piggyback(rng);
+  return std::make_shared<WriteAck>(rng(), std::move(cs),
+                                    static_cast<std::uint32_t>(rng.below(100)),
+                                    v);
 }
 
 MsgPtr rand_keys_ack(Rng& rng) {
@@ -112,9 +138,10 @@ MsgPtr rand_keys_ack(Rng& rng) {
   std::size_t n = rng.below(6);
   keys.reserve(n);
   for (std::size_t i = 0; i < n; ++i) keys.push_back(rand_string(rng));
-  return std::make_shared<KeysAck>(rng(), std::move(keys),
-                                   rand_changes_ptr(rng),
-                                   static_cast<std::uint32_t>(rng.below(100)));
+  auto [cs, v] = rand_piggyback(rng);
+  return std::make_shared<KeysAck>(rng(), std::move(keys), std::move(cs),
+                                   static_cast<std::uint32_t>(rng.below(100)),
+                                   v);
 }
 
 MsgPtr rand_batch_request(Rng& rng) {
@@ -491,11 +518,16 @@ TEST(CodecFuzz, SeededByteFlipsNeverCrash) {
 TEST(CodecFuzz, VersionAndTagRejection) {
   std::vector<std::uint8_t> bytes =
       WireCodec::encode_frame(0, client_id(0), ReadReq(7, "k", 1, 0));
-  // Wrong version byte.
+  // Wrong version byte: a newer one, and the previous one (whose R/W/KEYS
+  // frames carried no known versions and whose acks no set version).
   auto bad_version = bytes;
   bad_version[4] = kWireVersion + 1;
   EXPECT_FALSE(
       WireCodec::decode_frame(bad_version.data() + 4, bad_version.size() - 4));
+  auto old_version = bytes;
+  old_version[4] = kWireVersion - 1;
+  EXPECT_FALSE(
+      WireCodec::decode_frame(old_version.data() + 4, old_version.size() - 4));
   // Unknown type tag.
   auto bad_tag = bytes;
   bad_tag[5] = 0xEE;
@@ -507,6 +539,55 @@ TEST(CodecFuzz, VersionAndTagRejection) {
       WireCodec::decode_frame(trailing.data() + 4, trailing.size() - 4));
   // Empty body.
   EXPECT_FALSE(WireCodec::decode_frame(bytes.data() + 4, 0));
+}
+
+TEST(CodecFuzz, KnownVersionsAndSetVersionSizedAsEncoded) {
+  // wire_size() (the simulator's byte count) grows with the new fields by
+  // exactly the bytes the codec adds for them.
+  auto encoded = [](const Message& m) {
+    return WireCodec::encode_frame(0, client_id(0), m).size();
+  };
+  KnownVersions known = KnownVersions::for_group(5);
+  for (std::size_t i = 0; i < known.size(); ++i) known.set(i, 100 + i);
+  ReadReq bare(7, "k", 1, 0);
+  ReadReq with(7, "k", 1, 0, known);
+  EXPECT_EQ(encoded(with) - encoded(bare), with.wire_size() - bare.wire_size());
+  WriteReq wbare(7, TaggedValue{Tag{1, 2}, "v"}, "k", 1, 0);
+  WriteReq wwith(7, TaggedValue{Tag{1, 2}, "v"}, "k", 1, 0, known);
+  EXPECT_EQ(encoded(wwith) - encoded(wbare),
+            wwith.wire_size() - wbare.wire_size());
+  KeysReq kbare(7, 1, 0);
+  KeysReq kwith(7, 1, 0, known);
+  EXPECT_EQ(encoded(kwith) - encoded(kbare),
+            kwith.wire_size() - kbare.wire_size());
+
+  // A group past the inline capacity carries no versions at all.
+  EXPECT_EQ(KnownVersions::for_group(KnownVersions::kCapacity + 1).size(), 0u);
+  // A reply without a set carries no version either.
+  EXPECT_EQ(encoded(WriteAck(7, nullptr, 1, /*version=*/0)),
+            encoded(WriteAck(7, nullptr, 1, /*version=*/42)));
+}
+
+TEST(CodecFuzz, KnownVersionCountAboveCapacityRejected) {
+  std::vector<std::uint8_t> body;
+  auto le32 = [&body](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  body.push_back(kWireVersion);
+  body.push_back(static_cast<std::uint8_t>(WireType::kKeysReq));
+  le32(0);                     // from
+  le32(client_id(0));          // to
+  for (int i = 0; i < 8; ++i) body.push_back(0);  // op_id
+  le32(1);                     // seq
+  le32(0);                     // shard
+  const std::size_t n = KnownVersions::kCapacity + 1;
+  body.push_back(static_cast<std::uint8_t>(n));
+  body.insert(body.end(), 8 * n, 0x01);
+  EXPECT_FALSE(WireCodec::decode_frame(body.data(), body.size()));
+  // The same frame at capacity decodes.
+  body[body.size() - 8 * n - 1] = static_cast<std::uint8_t>(n - 1);
+  body.resize(body.size() - 8);
+  EXPECT_TRUE(WireCodec::decode_frame(body.data(), body.size()));
 }
 
 TEST(CodecFuzz, AbsurdContainerCountRejectedWithoutAllocating) {
