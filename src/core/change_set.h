@@ -66,9 +66,10 @@ class ChangeSet {
   /// True iff every change in `this` is also in `other`.
   bool subset_of(const ChangeSet& other) const;
 
-  /// Estimated serialized size (for piggybacking overhead accounting):
-  /// 4+8+4 id bytes + 16 delta bytes per change, 8 bytes length prefix.
-  std::size_t wire_size() const { return 8 + map_.size() * 32; }
+  /// Serialized size as the wire codec encodes it (for piggybacking
+  /// overhead accounting): a u32 count, then 4+8+4 id bytes + 16 delta
+  /// bytes per change.
+  std::size_t wire_size() const { return 4 + map_.size() * 32; }
 
   std::string str() const;
 

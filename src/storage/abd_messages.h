@@ -21,6 +21,11 @@
 // contains that set, so an omitted set is one whose merge would have
 // added nothing: every restart decision is the paper's (the delta-state
 // idea for grow-only join-semilattices, Almeida et al., JPDC 2018).
+//
+// wire_size() of every message here is kHeaderBytes plus the body
+// exactly as the socket codec encodes it (strings and nested frames
+// with their length prefixes), so simulated and socket byte counts
+// differ only in the header (pinned by test_codec_fuzz).
 #pragma once
 
 #include <array>
@@ -117,7 +122,7 @@ class ReadReq : public MessageBase<ReadReq> {
   const KnownVersions& known() const { return known_; }
   std::string type_name() const override { return "R"; }
   std::size_t wire_size() const override {
-    return kHeaderBytes + 16 + key_.size() + known_.wire_size();
+    return kHeaderBytes + 16 + 4 + key_.size() + known_.wire_size();
   }
 
  private:
@@ -170,7 +175,7 @@ class KeysAck : public MessageBase<KeysAck> {
   std::size_t wire_size() const override {
     std::size_t k = 0;
     for (const auto& key : keys_) k += key.size() + 4;
-    return kHeaderBytes + 12 + k + piggyback_wire_size(changes_);
+    return kHeaderBytes + 16 + k + piggyback_wire_size(changes_);
   }
 
  private:
@@ -199,7 +204,7 @@ class ReadAck : public MessageBase<ReadAck> {
   SetVersion version() const { return version_; }
   std::string type_name() const override { return "R_A"; }
   std::size_t wire_size() const override {
-    return kHeaderBytes + 12 + 12 + reg_.value.size() +
+    return kHeaderBytes + 12 + 16 + reg_.value.size() +
            piggyback_wire_size(changes_);
   }
 
@@ -231,7 +236,7 @@ class WriteReq : public MessageBase<WriteReq> {
   const KnownVersions& known() const { return known_; }
   std::string type_name() const override { return "W"; }
   std::size_t wire_size() const override {
-    return kHeaderBytes + 16 + 12 + reg_.value.size() + key_.size() +
+    return kHeaderBytes + 16 + 16 + reg_.value.size() + 4 + key_.size() +
            known_.wire_size();
   }
 
@@ -257,8 +262,8 @@ class WriteReq : public MessageBase<WriteReq> {
 /// in it together.
 ///
 /// Wire size amortizes the per-message header: each frame contributes
-/// its own payload plus a 4-byte frame-length field instead of a full
-/// header.
+/// its own payload plus a 5-byte nested prelude (u8 type tag, u32
+/// length) instead of a full header.
 class BatchRequest : public MessageBase<BatchRequest> {
  public:
   BatchRequest(ShardId shard, std::vector<MsgPtr> frames)
@@ -267,8 +272,8 @@ class BatchRequest : public MessageBase<BatchRequest> {
   const std::vector<MsgPtr>& frames() const { return frames_; }
   std::string type_name() const override { return "B"; }
   std::size_t wire_size() const override {
-    std::size_t sz = kHeaderBytes + 4;
-    for (const MsgPtr& f : frames_) sz += f->wire_size() - kHeaderBytes + 4;
+    std::size_t sz = kHeaderBytes + 8;
+    for (const MsgPtr& f : frames_) sz += f->wire_size() - kHeaderBytes + 5;
     return sz;
   }
 
@@ -289,7 +294,7 @@ class BatchReply : public MessageBase<BatchReply> {
   std::string type_name() const override { return "B_A"; }
   std::size_t wire_size() const override {
     std::size_t sz = kHeaderBytes + 4;
-    for (const MsgPtr& f : frames_) sz += f->wire_size() - kHeaderBytes + 4;
+    for (const MsgPtr& f : frames_) sz += f->wire_size() - kHeaderBytes + 5;
     return sz;
   }
 

@@ -118,7 +118,8 @@ class SnapAck : public MessageBase<SnapAck> {
   std::size_t wire_size() const override {
     std::size_t e = 0;
     for (const auto& entry : entries_) e += entry.wire_bytes();
-    return kHeaderBytes + 13 + 4 + e + (changes_ ? changes_->wire_size() : 0);
+    return kHeaderBytes + 13 + 4 + e + 1 +
+           (changes_ ? changes_->wire_size() : 0);
   }
 
  private:
