@@ -33,7 +33,9 @@ AbdClient::AbdClient(Env& env, ProcessId self, const SystemConfig& config,
     known_ = KnownVersions::for_group(servers_.size());
   }
   weights_.reserve(servers_.size());
-  for (ProcessId s : servers_) weights_.push_back(config_.initial_weights.of(s));
+  for (ProcessId s : servers_) {
+    weights_.push_back(config_.initial_weights.of(s));
+  }
 }
 
 OpId AbdClient::fresh_op_id() {

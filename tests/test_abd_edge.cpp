@@ -684,8 +684,8 @@ TEST(AbdClient, LateOrStaleReplyWithNewChangesIsNeitherMergedNorRecorded) {
   AbdClient client(env, client_id(0), cfg, AbdClient::Mode::kDynamic);
   env.start();
 
-  auto initial =
-      std::make_shared<const ChangeSet>(ChangeSet::initial(cfg.initial_weights));
+  auto initial = std::make_shared<const ChangeSet>(
+      ChangeSet::initial(cfg.initial_weights));
   ChangeSetPtr newer = with_transfer(cfg.initial_weights, 0, 1);
   const SetVersion v0 = (SetVersion{7} << 32) | 3;
   const SetVersion v1 = (SetVersion{8} << 32) | 3;
