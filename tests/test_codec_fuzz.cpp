@@ -595,7 +595,7 @@ TEST(CodecFuzz, KnownVersionCountAboveCapacityRejected) {
   EXPECT_FALSE(WireCodec::decode_frame(body.data(), body.size()));
   // The same frame at capacity decodes.
   body[body.size() - 8 * n - 1] = static_cast<std::uint8_t>(n - 1);
-  body.resize(body.size() - 8);
+  body.erase(body.end() - 8, body.end());
   EXPECT_TRUE(WireCodec::decode_frame(body.data(), body.size()));
 }
 
